@@ -19,10 +19,11 @@
 //!   cargo run --release -p canopus-bench --bin shard_scale -- \
 //!       [--out BENCH_canopus.json] [--check BENCH_canopus.json]
 
-use canopus::{CanopusConfig, ShardEngine};
-use canopus_bench::json::{extract_number, JsonObject};
+use canopus::{CanopusConfig, ShardEngine, ShardMsg};
+use canopus_bench::json::{extract_number, splice_section, JsonObject};
 use canopus_harness::{
-    build_sharded_canopus_obs, canopus_config_for, fmt_rate, ClusterObs, DeploymentSpec, LoadSpec,
+    build_cluster, canopus_config_for, fmt_rate, open_loop_clients, ClusterObs, DeploymentSpec,
+    LoadSpec, ShardedConfig,
 };
 use canopus_sim::Dur;
 
@@ -60,12 +61,15 @@ struct ShardMeasured {
 fn measure(spec: &DeploymentSpec, load: &LoadSpec, seed: u64) -> ShardMeasured {
     let (cfg, client_batch) = batched(spec);
     let load = load.clone().with_client_batch(client_batch);
-    let mut cluster = build_sharded_canopus_obs(
+    let cfg = ShardedConfig {
+        canopus: cfg,
+        shards: load.shards,
+    };
+    let mut cluster = build_cluster::<ShardMsg>(
         spec,
-        &load,
         cfg,
-        load.shards,
         seed,
+        open_loop_clients(&load, seed),
         ClusterObs::on(BENCH_FLIGHT_CAP),
     );
     cluster.sim.run_for(load.warmup + load.duration);
@@ -82,37 +86,6 @@ fn measure(spec: &DeploymentSpec, load: &LoadSpec, seed: u64) -> ShardMeasured {
         aggregate_per_sec: per_shard.iter().sum(),
         per_shard_per_sec: per_shard,
     }
-}
-
-/// Replaces (or appends) the top-level `"sharded"` object in the recorded
-/// bench document (same brace-matching splice as the live_scale section).
-fn splice_sharded(doc: &str, section: &str) -> String {
-    let mut doc = doc.trim_end().to_string();
-    if let Some(start) = doc.find("\"sharded\"") {
-        let cut_start = doc[..start].rfind(',').unwrap_or(start);
-        let open = start + doc[start..].find('{').expect("sharded object");
-        let mut depth = 0usize;
-        let mut end = open;
-        for (i, c) in doc[open..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = open + i + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        doc.replace_range(cut_start..end, "");
-    }
-    let close = doc.rfind('}').expect("bench file is a JSON object");
-    let head = doc[..close].trim_end();
-    let sep = if head.ends_with('{') { "" } else { "," };
-    let indented = section.replace('\n', "\n  ");
-    format!("{head}{sep}\n  \"sharded\": {indented}\n}}\n")
 }
 
 fn rates_array(rates: &[f64]) -> Vec<String> {
@@ -270,7 +243,8 @@ fn main() {
         Some(path) => {
             let doc = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| panic!("cannot read bench doc {path}: {e}"));
-            std::fs::write(path, splice_sharded(&doc, &rendered)).expect("write bench doc");
+            std::fs::write(path, splice_section(&doc, "sharded", &rendered))
+                .expect("write bench doc");
             eprintln!("spliced sharded section into {path}");
         }
         None => println!("{rendered}"),

@@ -26,16 +26,14 @@
 
 use canopus::{CanopusConfig, CanopusMsg, CanopusNode};
 use canopus_bench::json::{escape, extract_number, number, JsonObject};
+use canopus_harness::run::collect;
 use canopus_harness::{
-    build_canopus_obs, canopus_config_for, fmt_rate, ClusterObs, DeploymentSpec, LoadSpec,
-    RunResult, SearchSpec,
+    build_cluster, canopus_config_for, fmt_rate, open_loop_clients, ClusterObs, DeploymentSpec,
+    LoadSpec, RunResult, SearchSpec,
 };
 use canopus_net::{ClosFabric, LinkParams, Topology, WanMatrix};
 use canopus_obs::{bucket_bounds, HistogramSnapshot, Snapshot};
 use canopus_sim::{impl_process_any, Context, Dur, NodeId, Payload, Process, Simulation, Time};
-use canopus_workload::{LatencyRecorder, OpenLoopClient};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// The schema of the emitted JSON. Bump when keys change meaning.
 const SCHEMA_VERSION: u64 = 1;
@@ -76,33 +74,15 @@ fn measure(
     seed: u64,
     obs: ClusterObs,
 ) -> Measured {
-    let mut cluster = build_canopus_obs(spec, load, cfg, seed, obs);
+    let mut cluster =
+        build_cluster::<CanopusMsg>(spec, cfg, seed, open_loop_clients(load, seed), obs);
     cluster.sim.run_for(load.warmup + load.duration);
-    let mut writes = LatencyRecorder::default();
-    let mut reads = LatencyRecorder::default();
-    let mut rng = SmallRng::seed_from_u64(0xA77E);
-    for &c in &cluster.clients {
-        let client = cluster.sim.node::<OpenLoopClient<CanopusMsg>>(c);
-        writes.merge(&client.writes, &mut rng);
-        reads.merge(&client.reads, &mut rng);
-    }
-    let mut total = writes.clone();
-    total.merge(&reads, &mut rng);
-    let healthy = cluster
-        .nodes
-        .iter()
-        .all(|&n| cluster.sim.node::<CanopusNode>(n).stats().committed_cycles > 0);
+    let run = collect(&cluster, load, |c| {
+        c.nodes
+            .iter()
+            .all(|&n| c.sim.node::<CanopusNode>(n).stats().committed_cycles > 0)
+    });
     let node0 = cluster.sim.node::<CanopusNode>(cluster.nodes[0]).stats();
-    let run = RunResult {
-        offered: load.total_rate,
-        achieved: total.completed() as f64 / load.duration.as_secs_f64(),
-        median: total.median(),
-        p95: total.percentile(95.0),
-        mean: total.mean(),
-        write_median: writes.median(),
-        read_median: reads.median(),
-        healthy,
-    };
     Measured {
         run,
         node0_committed_per_sec: node0.committed_weight as f64

@@ -104,6 +104,41 @@ pub fn extract_number(doc: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// Replaces (or appends) the top-level `"name"` object in a recorded
+/// bench document; `section` is a rendered JSON object.
+///
+/// Sections are always written by this function, so each is a plain
+/// object of numbers and arrays: brace matching needs no string care.
+pub fn splice_section(doc: &str, name: &str, section: &str) -> String {
+    let mut doc = doc.trim_end().to_string();
+    let key = format!("\"{}\"", escape(name));
+    if let Some(start) = doc.find(&key) {
+        let cut_start = doc[..start].rfind(',').unwrap_or(start);
+        let open = start + doc[start..].find('{').expect("section is an object");
+        let mut depth = 0usize;
+        let mut end = open;
+        for (i, c) in doc[open..].char_indices() {
+            match c {
+                '{' => depth += 1,
+                '}' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        end = open + i + 1;
+                        break;
+                    }
+                }
+                _ => {}
+            }
+        }
+        doc.replace_range(cut_start..end, "");
+    }
+    let close = doc.rfind('}').expect("bench file is a JSON object");
+    let head = doc[..close].trim_end();
+    let sep = if head.ends_with('{') { "" } else { "," };
+    let indented = section.replace('\n', "\n  ");
+    format!("{head}{sep}\n  {key}: {indented}\n}}\n")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,5 +169,32 @@ mod tests {
     fn extract_handles_negative_and_exponent() {
         assert_eq!(extract_number("{\"a\": -2.5e3}", "a"), Some(-2500.0));
         assert_eq!(extract_number("{ \"a\" :  7 }", "a"), Some(7.0));
+    }
+
+    #[test]
+    fn splice_replaces_an_existing_section() {
+        let doc = "{\n  \"a\": 1,\n  \"sharded\": {\n    \"x\": {\"y\": 1}\n  },\n  \"b\": 2\n}\n";
+        let out = splice_section(doc, "sharded", "{\n  \"x\": 9\n}");
+        assert_eq!(
+            out,
+            "{\n  \"a\": 1,\n  \"b\": 2,\n  \"sharded\": {\n    \"x\": 9\n  }\n}\n"
+        );
+        assert_eq!(extract_number(&out, "x"), Some(9.0));
+        assert_eq!(out, splice_section(&out, "sharded", "{\n  \"x\": 9\n}"));
+    }
+
+    #[test]
+    fn splice_appends_to_a_document() {
+        let out = splice_section("{\n  \"a\": 1\n}\n", "live_scale", "{\n  \"x\": 2\n}");
+        assert_eq!(
+            out,
+            "{\n  \"a\": 1,\n  \"live_scale\": {\n    \"x\": 2\n  }\n}\n"
+        );
+    }
+
+    #[test]
+    fn splice_appends_to_an_empty_object() {
+        let out = splice_section("{}", "sharded", "{\n  \"x\": 2\n}");
+        assert_eq!(out, "{\n  \"sharded\": {\n    \"x\": 2\n  }\n}\n");
     }
 }

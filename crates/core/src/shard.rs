@@ -195,16 +195,14 @@ pub struct ShardEngine {
 const TOKEN_SHIFT: u32 = 32;
 
 impl ShardEngine {
-    /// An engine hosting `shards` LOT instances on node `me`, each
-    /// configured by `cfg_of(shard)` — per-shard `max_linger` /
-    /// `max_pipeline_depth` tuning goes through that closure. All shards
-    /// share the node roster in `table`.
-    pub fn with_configs(
+    /// An engine hosting `shards` LOT instances on node `me`, all running
+    /// `cfg` and sharing the node roster in `table`.
+    pub fn new(
         me: NodeId,
         table: EmulationTable,
+        cfg: CanopusConfig,
         shards: u16,
         seed: u64,
-        mut cfg_of: impl FnMut(u16) -> CanopusConfig,
     ) -> Self {
         let shards = shards.max(1);
         let instances = (0..shards)
@@ -212,7 +210,7 @@ impl ShardEngine {
                 // Distinct RNG stream per shard: proposal numbers and
                 // Raft timeouts must not correlate across shards.
                 let shard_seed = seed ^ shard_hash(0x5AD0_0000 + u64::from(s));
-                CanopusNode::new(me, table.clone(), cfg_of(s), shard_seed)
+                CanopusNode::new(me, table.clone(), cfg.clone(), shard_seed)
             })
             .collect();
         ShardEngine {
@@ -225,17 +223,6 @@ impl ShardEngine {
             reply_via: BTreeMap::new(),
             stats: ShardEngineStats::default(),
         }
-    }
-
-    /// An engine whose shards all share one configuration.
-    pub fn new(
-        me: NodeId,
-        table: EmulationTable,
-        cfg: CanopusConfig,
-        shards: u16,
-        seed: u64,
-    ) -> Self {
-        Self::with_configs(me, table, shards, seed, |_| cfg.clone())
     }
 
     /// Installs a per-shard observability hub (`hub_of(shard)`), so each

@@ -9,7 +9,13 @@ fn main() {
     load.warmup = Dur::millis(800);
     load.duration = Dur::millis(1200);
     let cfg = canopus_config_for(&spec);
-    let mut cluster = build_canopus(&spec, &load, cfg, 1);
+    let mut cluster = build_cluster::<CanopusMsg>(
+        &spec,
+        cfg,
+        1,
+        open_loop_clients(&load, 1),
+        ClusterObs::off(),
+    );
     cluster.sim.run_for(Dur::millis(2000));
     for &n in &cluster.nodes {
         let node = cluster.sim.node::<CanopusNode>(n);

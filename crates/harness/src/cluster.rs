@@ -14,8 +14,7 @@
 
 use std::collections::BTreeSet;
 
-use canopus::{CanopusConfig, CanopusMsg, CanopusNode, CycleTrigger, EmulationTable, LotShape};
-use canopus_epaxos::{EpaxosConfig, EpaxosMsg, EpaxosNode};
+use canopus::{CanopusConfig, CycleTrigger};
 use canopus_net::ClosFabric;
 use canopus_obs::{NodeObs, Registry, Snapshot};
 use canopus_sim::fault::{FaultAction, FaultPlan, NemesisDriver};
@@ -25,9 +24,7 @@ use canopus_sim::{
 };
 use canopus_workload::{OpenLoopClient, OpenLoopConfig, ProtocolMsg};
 
-use canopus_zab::{ZabConfig, ZabMsg, ZabNode};
-
-use crate::raftkv::{RaftKvConfig, RaftKvMsg, RaftKvNode};
+use crate::protocol::{ChaosProtocol, Recipe};
 use crate::spec::{DeploymentSpec, LoadSpec, TopoSpec};
 
 /// The default fabric of every built cluster: partitions over loss over
@@ -54,16 +51,12 @@ impl ClusterObs {
         ClusterObs { flight_cap }
     }
 
-    fn hub(&self, node: u32) -> NodeObs {
+    pub(crate) fn hub(&self, node: u32) -> NodeObs {
         if self.flight_cap == 0 {
             NodeObs::disabled()
         } else {
             NodeObs::enabled(node, self.flight_cap)
         }
-    }
-
-    fn hubs(&self, n: usize) -> Vec<NodeObs> {
-        (0..n as u32).map(|i| self.hub(i)).collect()
     }
 
     fn net_registry(&self) -> Registry {
@@ -74,12 +67,6 @@ impl ClusterObs {
         }
     }
 }
-
-/// Builds the replacement process when the nemesis restarts a crashed
-/// node. Receives the crashed process when the kernel still holds it, so
-/// protocols with durable state can model recovery.
-pub type RestartFactory<M> =
-    Box<dyn FnMut(NodeId, Option<Box<dyn Process<M>>>) -> Box<dyn Process<M>>>;
 
 /// A process that ignores every message: stands in for a replica whose
 /// protocol has no crash-recovery path (EPaxos, whose paper-scoped
@@ -103,26 +90,26 @@ impl<M: Payload> Process<M> for SilentNode<M> {
 }
 
 /// A built cluster: the simulation, the protocol node ids, the client
-/// process ids (parallel to the node list), and the restart policy the
-/// nemesis uses when a fault plan revives a crashed node.
-pub struct Cluster<M: Payload> {
+/// process ids (parallel to the node list), and the recipe the nemesis
+/// rebuilds a crashed node from when a fault plan revives it.
+pub struct Cluster<M: ChaosProtocol> {
     /// The simulation, ready to run.
     pub sim: Simulation<M, ChaosFabric>,
     /// Protocol node ids (dense, starting at 0).
     pub nodes: Vec<NodeId>,
     /// One aggregated client per node, in node order.
     pub clients: Vec<NodeId>,
-    restart_factory: RestartFactory<M>,
+    /// Builds every protocol node and its restart replacement; holds the
+    /// nodes' observability hubs (inert unless built with
+    /// [`ClusterObs::on`]).
+    recipe: Recipe<M>,
     ever_crashed: BTreeSet<NodeId>,
-    /// One observability hub per protocol node (all disabled unless the
-    /// cluster was built with [`ClusterObs::on`]).
-    hubs: Vec<NodeObs>,
     /// The registry the simulator's network layer counts sent messages
     /// and bytes into (by wire kind).
     net_registry: Registry,
 }
 
-impl<M: Payload> Cluster<M> {
+impl<M: ChaosProtocol> Cluster<M> {
     /// Mutable access to the fault-injection fabric — the supported way
     /// for tests to install partitions, loss, and isolation, instead of
     /// reaching through `Simulation` internals.
@@ -137,12 +124,15 @@ impl<M: Payload> Cluster<M> {
 
     /// Applies `plan` while running the simulation for `horizon` of
     /// virtual time from now, restarting crashed nodes through the
-    /// cluster's per-protocol restart policy. Returns the concrete action
-    /// timeline that was applied.
+    /// protocol's restart policy. Returns the concrete action timeline
+    /// that was applied.
     pub fn apply_plan(&mut self, plan: &FaultPlan, horizon: Dur) -> Vec<(Time, FaultAction)> {
         let mut driver = NemesisDriver::new(plan, self.sim.now(), horizon);
         let until = self.sim.now() + horizon;
-        driver.run(&mut self.sim, until, &mut *self.restart_factory);
+        let recipe = &self.recipe;
+        driver.run(&mut self.sim, until, &mut |id, old| {
+            M::restart(id, old, recipe)
+        });
         self.ever_crashed
             .extend(driver.ever_crashed().iter().copied());
         driver.applied().to_vec()
@@ -163,11 +153,6 @@ impl<M: Payload> Cluster<M> {
             .collect()
     }
 
-    /// Per-node observability hubs (empty or inert when obs is off).
-    pub fn obs_hubs(&self) -> &[NodeObs] {
-        &self.hubs
-    }
-
     /// The registry the simulated network counts into.
     pub fn net_registry(&self) -> &Registry {
         &self.net_registry
@@ -176,18 +161,14 @@ impl<M: Payload> Cluster<M> {
     /// Every node's flight recorder, dumped (`last` events each) into one
     /// string — the panic artifact chaos failures attach.
     pub fn flight_dump(&self, last: usize) -> String {
-        let mut out = String::new();
-        for hub in &self.hubs {
-            out.push_str(&hub.flight.dump_last(last));
-        }
-        out
+        self.recipe.flight_dump(last)
     }
 
     /// One merged snapshot: every node's registry plus the network
     /// registry, aggregated by metric name.
     pub fn metrics_snapshot(&self) -> Snapshot {
         let mut snap = self.net_registry.snapshot();
-        for hub in &self.hubs {
+        for hub in self.recipe.all_hubs() {
             snap.merge(&hub.metrics.snapshot());
         }
         snap
@@ -205,45 +186,25 @@ fn client_node_config() -> NodeConfig {
     }
 }
 
-/// Builds a cluster from explicit node, client, and restart factories —
-/// the generic assembly the per-protocol builders and the chaos harness
-/// share. `make_client(i, target)` builds the client co-located with node
-/// `i`. Protocol nodes get the default single-lane [`NodeConfig`]; the
-/// sharded builders use [`build_custom_cfg`] to give each node one CPU
-/// lane per hosted shard.
-pub fn build_custom<M>(
+/// Builds `M`'s deployment over `spec` on the simulator: one protocol
+/// node per slot, built from the protocol's [`ChaosProtocol`] recipe
+/// with `cfg` and `seed`, plus one client per node in the same rack.
+/// `make_client(i, n, target)` builds the client co-located with node `i`
+/// of `n` ([`open_loop_clients`], [`crate::history::history_clients`]).
+///
+/// `obs` attaches observability hubs to every node and a registry to the
+/// simulated network. Recording is observation-only — it never touches
+/// the RNG, the event queue, or the trace hash, so enabling obs cannot
+/// change an execution.
+pub fn build_cluster<M: ChaosProtocol>(
     spec: &DeploymentSpec,
+    cfg: M::Config,
     seed: u64,
-    make_node: impl FnMut(NodeId) -> Box<dyn Process<M>>,
-    make_client: impl FnMut(usize, NodeId) -> Box<dyn Process<M>>,
-    restart_factory: RestartFactory<M>,
-) -> Cluster<M>
-where
-    M: Payload,
-{
-    build_custom_cfg(
-        spec,
-        seed,
-        NodeConfig::default(),
-        make_node,
-        make_client,
-        restart_factory,
-    )
-}
-
-/// [`build_custom`] with an explicit [`NodeConfig`] for the protocol
-/// nodes (clients keep their own dedicated-machine config).
-pub fn build_custom_cfg<M>(
-    spec: &DeploymentSpec,
-    seed: u64,
-    node_cfg: NodeConfig,
-    mut make_node: impl FnMut(NodeId) -> Box<dyn Process<M>>,
-    mut make_client: impl FnMut(usize, NodeId) -> Box<dyn Process<M>>,
-    restart_factory: RestartFactory<M>,
-) -> Cluster<M>
-where
-    M: Payload,
-{
+    mut make_client: impl FnMut(usize, usize, NodeId) -> Box<dyn Process<M>>,
+    obs: ClusterObs,
+) -> Cluster<M> {
+    let recipe = Recipe::<M>::new(spec.super_leaves(), cfg, seed, obs);
+    let node_cfg = NodeConfig::default().with_lanes(M::lanes(&recipe.cfg));
     let mut topo = spec.build_topology();
     let n = spec.node_count();
     // Place one client per protocol node in the same rack.
@@ -256,52 +217,42 @@ where
     let mut sim = Simulation::new(fabric, seed);
     let mut nodes = Vec::with_capacity(n);
     for i in 0..n {
-        let id = sim.add_node_with(make_node(NodeId(i as u32)), node_cfg);
+        let id = sim.add_node_with(M::node(NodeId(i as u32), &recipe), node_cfg);
         assert_eq!(id, NodeId(i as u32), "node ids must match topology");
         nodes.push(id);
     }
     let mut clients = Vec::with_capacity(n);
     for (i, &slot) in client_slots.iter().enumerate() {
-        let id = sim.add_node_with(make_client(i, nodes[i]), client_node_config());
+        let id = sim.add_node_with(make_client(i, n, nodes[i]), client_node_config());
         assert_eq!(id, slot, "client ids must match topology");
         clients.push(id);
     }
+    let net_registry = obs.net_registry();
+    sim.set_net_metrics(net_registry.clone());
     Cluster {
         sim,
         nodes,
         clients,
-        restart_factory,
+        recipe,
         ever_crashed: BTreeSet::new(),
-        hubs: Vec::new(),
-        net_registry: Registry::disabled(),
+        net_registry,
     }
 }
 
-/// Attaches pre-built hubs and a network registry to a freshly built
-/// cluster: the hubs become visible through [`Cluster::obs_hubs`] and the
-/// simulated network starts counting into `net_registry`. Recording is
-/// observation-only — it never touches the RNG, the event queue, or the
-/// trace hash, so enabling obs cannot change an execution.
-fn install_obs<M: Payload>(cluster: &mut Cluster<M>, hubs: Vec<NodeObs>, net_registry: Registry) {
-    cluster.sim.set_net_metrics(net_registry.clone());
-    cluster.hubs = hubs;
-    cluster.net_registry = net_registry;
-}
-
-fn open_loop_client_factory<M>(
+/// The paper's client model (§8.1): one open-loop Poisson client per
+/// protocol node, splitting `load`'s offered rate evenly.
+pub fn open_loop_clients<M>(
     load: &LoadSpec,
-    n: usize,
     seed: u64,
-) -> impl FnMut(usize, NodeId) -> Box<dyn Process<M>>
+) -> impl FnMut(usize, usize, NodeId) -> Box<dyn Process<M>>
 where
     M: Payload + ProtocolMsg,
     OpenLoopClient<M>: Process<M>,
 {
-    let per_client_rate = load.total_rate / n as f64;
     let load = load.clone();
-    move |i, target| {
+    move |i, n, target| {
         let cfg = OpenLoopConfig {
-            rate_per_sec: per_client_rate,
+            rate_per_sec: load.total_rate / n as f64,
             write_ratio: load.write_ratio,
             tick: Dur::millis(1),
             op_bytes: 16,
@@ -340,320 +291,4 @@ pub fn canopus_config_for(spec: &DeploymentSpec) -> CanopusConfig {
             ..CanopusConfig::wide_area()
         },
     }
-}
-
-/// The emulation table for a deployment: one super-leaf per rack/DC.
-pub fn emulation_table_for(spec: &DeploymentSpec) -> EmulationTable {
-    let groups = spec.group_count();
-    let per = spec.per_group();
-    let shape = LotShape::flat(groups as u16);
-    let membership: Vec<Vec<NodeId>> = (0..groups)
-        .map(|g| (0..per).map(|i| NodeId((g * per + i) as u32)).collect())
-        .collect();
-    EmulationTable::new(shape, membership)
-}
-
-/// Builds a Canopus cluster over custom clients (the chaos harness path).
-/// A restarted node comes back as a fresh process; the survivors'
-/// tombstone machinery keeps it excluded (crash-stop rejoin is a ROADMAP
-/// item), which is safe but means its clients see no further progress.
-pub fn build_canopus_with(
-    spec: &DeploymentSpec,
-    cfg: CanopusConfig,
-    seed: u64,
-    make_client: impl FnMut(usize, NodeId) -> Box<dyn Process<CanopusMsg>>,
-    obs: ClusterObs,
-) -> Cluster<CanopusMsg> {
-    let table = emulation_table_for(spec);
-    let restart_table = table.clone();
-    let restart_cfg = cfg.clone();
-    let hubs = obs.hubs(spec.node_count());
-    let node_hubs = hubs.clone();
-    let restart_hubs = hubs.clone();
-    let mut cluster = build_custom(
-        spec,
-        seed,
-        |id| {
-            Box::new(
-                CanopusNode::new(id, table.clone(), cfg.clone(), seed)
-                    .with_obs(node_hubs[id.0 as usize].clone()),
-            )
-        },
-        make_client,
-        Box::new(move |id, _old| {
-            Box::new(
-                CanopusNode::new(id, restart_table.clone(), restart_cfg.clone(), seed)
-                    .with_obs(restart_hubs[id.0 as usize].clone()),
-            )
-        }),
-    );
-    install_obs(&mut cluster, hubs, obs.net_registry());
-    cluster
-}
-
-/// Builds a Canopus cluster: one super-leaf per rack/datacenter.
-pub fn build_canopus(
-    spec: &DeploymentSpec,
-    load: &LoadSpec,
-    cfg: CanopusConfig,
-    seed: u64,
-) -> Cluster<CanopusMsg> {
-    let clients = open_loop_client_factory(load, spec.node_count(), seed);
-    build_canopus_with(spec, cfg, seed, clients, ClusterObs::off())
-}
-
-/// [`build_canopus`] with observability attached — the benchmark path
-/// uses this to emit batch-size and pipeline-occupancy metrics next to
-/// each ladder point.
-pub fn build_canopus_obs(
-    spec: &DeploymentSpec,
-    load: &LoadSpec,
-    cfg: CanopusConfig,
-    seed: u64,
-    obs: ClusterObs,
-) -> Cluster<CanopusMsg> {
-    let clients = open_loop_client_factory(load, spec.node_count(), seed);
-    build_canopus_with(spec, cfg, seed, clients, obs)
-}
-
-/// Observability hubs for a sharded cluster: one hub per (node, shard)
-/// pair, node-major, so each LOT instance records to its own registry and
-/// flight recorder. Flight events are tagged `node * 256 + shard`, which
-/// keeps per-shard streams distinguishable in a failure dump.
-fn sharded_hubs(obs: &ClusterObs, n: usize, shards: u16) -> Vec<NodeObs> {
-    (0..n as u32)
-        .flat_map(|node| (0..u32::from(shards)).map(move |s| (node, s)))
-        .map(|(node, s)| {
-            if obs.flight_cap == 0 {
-                NodeObs::disabled()
-            } else {
-                NodeObs::enabled(node * 256 + s, obs.flight_cap)
-            }
-        })
-        .collect()
-}
-
-/// Builds a shard-parallel Canopus cluster over custom clients: every
-/// node hosts `shards` independent LOT instances behind one transport
-/// identity ([`canopus::ShardEngine`]), with one CPU lane per shard so
-/// the pipelines commit concurrently. Per-shard configuration goes
-/// through `cfg_of(shard)` — uniform tuning passes the same config for
-/// every shard. A restarted node comes back as a fresh engine (the
-/// survivors' per-shard tombstone machinery keeps it excluded, exactly
-/// as in the unsharded builder).
-pub fn build_sharded_canopus_with(
-    spec: &DeploymentSpec,
-    mut cfg_of: impl FnMut(u16) -> CanopusConfig,
-    shards: u16,
-    seed: u64,
-    make_client: impl FnMut(usize, NodeId) -> Box<dyn Process<canopus::ShardMsg>>,
-    obs: ClusterObs,
-) -> Cluster<canopus::ShardMsg> {
-    let shards = shards.max(1);
-    let table = emulation_table_for(spec);
-    let restart_table = table.clone();
-    let cfgs: Vec<CanopusConfig> = (0..shards).map(&mut cfg_of).collect();
-    let restart_cfgs = cfgs.clone();
-    let hubs = sharded_hubs(&obs, spec.node_count(), shards);
-    let node_hubs = hubs.clone();
-    let restart_hubs = hubs.clone();
-    let engine =
-        move |id: NodeId, table: &EmulationTable, cfgs: &[CanopusConfig], hubs: &[NodeObs]| {
-            let per_node = hubs[id.0 as usize * shards as usize..].to_vec();
-            Box::new(
-                canopus::ShardEngine::with_configs(id, table.clone(), shards, seed, |s| {
-                    cfgs[s as usize].clone()
-                })
-                .with_obs(move |s| per_node[s as usize].clone()),
-            )
-        };
-    let restart_engine = engine;
-    let mut cluster = build_custom_cfg(
-        spec,
-        seed,
-        NodeConfig::default().with_lanes(u32::from(shards)),
-        |id| engine(id, &table, &cfgs, &node_hubs),
-        make_client,
-        Box::new(move |id, _old| restart_engine(id, &restart_table, &restart_cfgs, &restart_hubs)),
-    );
-    install_obs(&mut cluster, hubs, obs.net_registry());
-    cluster
-}
-
-/// Builds a shard-parallel Canopus cluster driven by the paper's
-/// open-loop client model, with the clients splitting their offered load
-/// across the shards per the [`LoadSpec`]'s shard routing (uniform or
-/// Zipf-skewed).
-pub fn build_sharded_canopus(
-    spec: &DeploymentSpec,
-    load: &LoadSpec,
-    cfg: CanopusConfig,
-    shards: u16,
-    seed: u64,
-) -> Cluster<canopus::ShardMsg> {
-    build_sharded_canopus_obs(spec, load, cfg, shards, seed, ClusterObs::off())
-}
-
-/// [`build_sharded_canopus`] with observability attached — the shard
-/// scaling bench reads per-shard batch and pipeline metrics from the
-/// per-(node, shard) hubs.
-pub fn build_sharded_canopus_obs(
-    spec: &DeploymentSpec,
-    load: &LoadSpec,
-    cfg: CanopusConfig,
-    shards: u16,
-    seed: u64,
-    obs: ClusterObs,
-) -> Cluster<canopus::ShardMsg> {
-    let clients = open_loop_client_factory(load, spec.node_count(), seed);
-    build_sharded_canopus_with(spec, |_| cfg.clone(), shards, seed, clients, obs)
-}
-
-/// Builds an EPaxos cluster over custom clients. EPaxos has no recovery
-/// protocol (failure-free scope, see the crate docs), so a restarted
-/// replica is re-installed as a permanently silent crash-stop process —
-/// restarting it with empty state would silently break quorum-
-/// intersection memory and could corrupt the dependency graph.
-pub fn build_epaxos_with(
-    spec: &DeploymentSpec,
-    cfg: EpaxosConfig,
-    seed: u64,
-    make_client: impl FnMut(usize, NodeId) -> Box<dyn Process<EpaxosMsg>>,
-    obs: ClusterObs,
-) -> Cluster<EpaxosMsg> {
-    let n = spec.node_count();
-    let replicas: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-    let hubs = obs.hubs(n);
-    let node_hubs = hubs.clone();
-    let mut cluster = build_custom(
-        spec,
-        seed,
-        |id| {
-            Box::new(
-                EpaxosNode::new(id, replicas.clone(), cfg.clone())
-                    .with_obs(node_hubs[id.0 as usize].clone()),
-            )
-        },
-        make_client,
-        Box::new(|_id, _old| Box::new(SilentNode::<EpaxosMsg>::default())),
-    );
-    install_obs(&mut cluster, hubs, obs.net_registry());
-    cluster
-}
-
-/// Builds an EPaxos cluster over the same deployment.
-pub fn build_epaxos(
-    spec: &DeploymentSpec,
-    load: &LoadSpec,
-    cfg: EpaxosConfig,
-    seed: u64,
-) -> Cluster<EpaxosMsg> {
-    let clients = open_loop_client_factory(load, spec.node_count(), seed);
-    build_epaxos_with(spec, cfg, seed, clients, ClusterObs::off())
-}
-
-/// Builds a ZooKeeper-model cluster over custom clients. A restarted node
-/// comes back amnesiac as a *follower* ([`ZabNode::recovering`] — even a
-/// former leader must not reclaim leadership with an empty log) and
-/// resyncs its full history from the current leader (gap detection +
-/// `ResyncRequest`), modelling Zab's synchronization phase.
-pub fn build_zab_with(
-    spec: &DeploymentSpec,
-    cfg: ZabConfig,
-    seed: u64,
-    make_client: impl FnMut(usize, NodeId) -> Box<dyn Process<ZabMsg>>,
-    obs: ClusterObs,
-) -> Cluster<ZabMsg> {
-    let n = spec.node_count();
-    let ensemble: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-    let restart_ensemble = ensemble.clone();
-    let restart_cfg = cfg.clone();
-    let hubs = obs.hubs(n);
-    let node_hubs = hubs.clone();
-    let restart_hubs = hubs.clone();
-    let mut cluster = build_custom(
-        spec,
-        seed,
-        |id| {
-            Box::new(
-                ZabNode::new(id, ensemble.clone(), cfg.clone())
-                    .with_obs(node_hubs[id.0 as usize].clone()),
-            )
-        },
-        make_client,
-        Box::new(move |id, _old| {
-            Box::new(
-                ZabNode::recovering(id, restart_ensemble.clone(), restart_cfg.clone())
-                    .with_obs(restart_hubs[id.0 as usize].clone()),
-            )
-        }),
-    );
-    install_obs(&mut cluster, hubs, obs.net_registry());
-    cluster
-}
-
-/// Builds a ZooKeeper-model cluster: `participants` quorum members (leader
-/// = node 0), the rest observers — the paper's Figure 5 configuration.
-pub fn build_zab(
-    spec: &DeploymentSpec,
-    load: &LoadSpec,
-    cfg: ZabConfig,
-    seed: u64,
-) -> Cluster<ZabMsg> {
-    let clients = open_loop_client_factory(load, spec.node_count(), seed);
-    build_zab_with(spec, cfg, seed, clients, ClusterObs::off())
-}
-
-/// Builds a Raft KV cluster over custom clients. A restarted node
-/// recovers its durable Raft state (term, vote, log) from the crashed
-/// process and rejoins as a follower.
-pub fn build_raftkv_with(
-    spec: &DeploymentSpec,
-    cfg: RaftKvConfig,
-    seed: u64,
-    make_client: impl FnMut(usize, NodeId) -> Box<dyn Process<RaftKvMsg>>,
-    obs: ClusterObs,
-) -> Cluster<RaftKvMsg> {
-    let n = spec.node_count();
-    let members: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-    let restart_members = members.clone();
-    let restart_cfg = cfg.clone();
-    let hubs = obs.hubs(n);
-    let node_hubs = hubs.clone();
-    let restart_hubs = hubs.clone();
-    let mut cluster = build_custom(
-        spec,
-        seed,
-        |id| {
-            Box::new(
-                RaftKvNode::new(id, members.clone(), cfg.clone(), seed)
-                    .with_obs(node_hubs[id.0 as usize].clone()),
-            )
-        },
-        make_client,
-        Box::new(move |id, old| {
-            let recovered = old.and_then(|p| p.into_any().downcast::<RaftKvNode>().ok());
-            let hub = restart_hubs[id.0 as usize].clone();
-            match recovered {
-                Some(node) => Box::new(RaftKvNode::recover(&node, seed).with_obs(hub)),
-                None => Box::new(
-                    RaftKvNode::new(id, restart_members.clone(), restart_cfg.clone(), seed)
-                        .with_obs(hub),
-                ),
-            }
-        }),
-    );
-    install_obs(&mut cluster, hubs, obs.net_registry());
-    cluster
-}
-
-/// Builds a Raft KV cluster driven by the paper's open-loop client model.
-pub fn build_raftkv(
-    spec: &DeploymentSpec,
-    load: &LoadSpec,
-    cfg: RaftKvConfig,
-    seed: u64,
-) -> Cluster<RaftKvMsg> {
-    let clients = open_loop_client_factory(load, spec.node_count(), seed);
-    build_raftkv_with(spec, cfg, seed, clients, ClusterObs::off())
 }

@@ -16,7 +16,10 @@
 //!   ZooKeeper model serves reads locally and only promises sequential
 //!   consistency, so its reads are exempt by construction),
 //! * **convergence**: after the nemesis heals the network, every client
-//!   of a trusted node must complete fresh writes again.
+//!   of a trusted node must complete fresh writes again,
+//! * the protocol's own checks ([`ChaosProtocol::verdict_extras`]) — for
+//!   the sharded engine, per-shard agreement, key→shard routing
+//!   stability, and cross-shard atomicity.
 //!
 //! Soundness of the linearizability feed: version `v` of a key is the
 //! `v`-th write in the (prefix-agreed) committed order, and its
@@ -29,18 +32,15 @@ use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
-use canopus::{CanopusMsg, CanopusNode, CommittedOp, ShardEngine, ShardMsg};
-use canopus_epaxos::{EpaxosMsg, EpaxosNode};
 use canopus_kv::{
     check_agreement, check_client_fifo, ClientRequest, Key, LinChecker, Op, OpResult, ReadObs,
     ReplyEvent, ShardRouter, WriteObs,
 };
 use canopus_sim::{impl_process_any, Context, Dur, NodeId, Process, Time, Timer};
 use canopus_workload::ProtocolMsg;
-use canopus_zab::{ZabMsg, ZabNode};
 
 use crate::cluster::Cluster;
-use crate::raftkv::{RaftKvMsg, RaftKvNode};
+use crate::protocol::ChaosProtocol;
 
 const TICK: u64 = 1;
 
@@ -344,187 +344,6 @@ impl<M: ProtocolMsg + 'static> Process<M> for HistoryClient<M> {
 }
 
 // ---------------------------------------------------------------------
-// Protocol state extraction
-// ---------------------------------------------------------------------
-
-/// Per-replica committed-state extraction the verdict needs, implemented
-/// for all four protocols.
-///
-/// Extraction takes the replica's process as `&dyn Any` so the same
-/// verdict runs over a [`Cluster`]'s simulated nodes *and* over the final
-/// processes recovered from a live TCP cluster ([`crate::live`]).
-pub trait ChaosProtocol: ProtocolMsg + Sized + 'static {
-    /// Short protocol name for reports.
-    const NAME: &'static str;
-    /// Whether the protocol's read path promises linearizability (the
-    /// ZooKeeper model only promises sequential consistency).
-    const LINEARIZABLE_READS: bool;
-
-    /// Per-key committed write order at a replica, as
-    /// `(client, op_id, local apply/commit time)`.
-    fn write_records(process: &dyn Any) -> BTreeMap<Key, Vec<(NodeId, u64, Time)>>;
-
-    /// The full committed order at a replica as `(client, op_id)` pairs,
-    /// for protocols with a total order (`None` where only per-key order
-    /// is defined, i.e. EPaxos).
-    fn global_log(process: &dyn Any) -> Option<Vec<(NodeId, u64)>>;
-}
-
-/// Folds one Canopus node's committed log into per-key write records
-/// (shared by the plain and sharded extractions — a sharded engine merges
-/// this across every hosted LOT instance).
-fn canopus_write_records_into(n: &CanopusNode, out: &mut BTreeMap<Key, Vec<(NodeId, u64, Time)>>) {
-    for cc in n.committed_log() {
-        for set in &cc.sets {
-            for op in &set.ops {
-                match op {
-                    CommittedOp::Put {
-                        client, op_id, key, ..
-                    } => {
-                        out.entry(*key).or_default().push((*client, *op_id, cc.at));
-                    }
-                    CommittedOp::MultiPut {
-                        client,
-                        op_id,
-                        keys,
-                    } => {
-                        for key in keys {
-                            out.entry(*key).or_default().push((*client, *op_id, cc.at));
-                        }
-                    }
-                    CommittedOp::Synthetic { .. } => {}
-                }
-            }
-        }
-    }
-}
-
-/// One Canopus node's total committed order as `(client, op_id)` pairs.
-fn canopus_global_log(n: &CanopusNode) -> Vec<(NodeId, u64)> {
-    n.committed_log()
-        .iter()
-        .flat_map(|cc| {
-            cc.sets.iter().flat_map(|s| {
-                s.ops.iter().map(|op| match *op {
-                    CommittedOp::Put { client, op_id, .. }
-                    | CommittedOp::Synthetic { client, op_id, .. }
-                    | CommittedOp::MultiPut { client, op_id, .. } => (client, op_id),
-                })
-            })
-        })
-        .collect()
-}
-
-impl ChaosProtocol for CanopusMsg {
-    const NAME: &'static str = "canopus";
-    const LINEARIZABLE_READS: bool = true;
-
-    fn write_records(process: &dyn Any) -> BTreeMap<Key, Vec<(NodeId, u64, Time)>> {
-        let mut out = BTreeMap::new();
-        canopus_write_records_into(
-            process.downcast_ref::<CanopusNode>().expect("canopus node"),
-            &mut out,
-        );
-        out
-    }
-
-    fn global_log(process: &dyn Any) -> Option<Vec<(NodeId, u64)>> {
-        let n = process.downcast_ref::<CanopusNode>().expect("canopus node");
-        Some(canopus_global_log(n))
-    }
-}
-
-impl ChaosProtocol for ShardMsg {
-    const NAME: &'static str = "canopus_sharded";
-    const LINEARIZABLE_READS: bool = true;
-
-    /// Per-key records merged across every hosted shard: keys are
-    /// disjoint across shards (the router is a pure function of the key),
-    /// so the merge never interleaves two shards' orders on one key.
-    fn write_records(process: &dyn Any) -> BTreeMap<Key, Vec<(NodeId, u64, Time)>> {
-        let e = process.downcast_ref::<ShardEngine>().expect("shard engine");
-        let mut out = BTreeMap::new();
-        for s in 0..e.shard_count() {
-            canopus_write_records_into(e.shard(s), &mut out);
-        }
-        out
-    }
-
-    /// No cross-shard total order is promised — each shard totally orders
-    /// its own traffic; the sharded extras check per-shard agreement.
-    fn global_log(_process: &dyn Any) -> Option<Vec<(NodeId, u64)>> {
-        None
-    }
-}
-
-impl ChaosProtocol for EpaxosMsg {
-    const NAME: &'static str = "epaxos";
-    const LINEARIZABLE_READS: bool = true;
-
-    fn write_records(process: &dyn Any) -> BTreeMap<Key, Vec<(NodeId, u64, Time)>> {
-        process
-            .downcast_ref::<EpaxosNode>()
-            .expect("epaxos node")
-            .write_log_timed()
-            .clone()
-    }
-
-    fn global_log(_process: &dyn Any) -> Option<Vec<(NodeId, u64)>> {
-        None // EPaxos only orders interfering commands; per-key order is the contract.
-    }
-}
-
-impl ChaosProtocol for ZabMsg {
-    const NAME: &'static str = "zab";
-    const LINEARIZABLE_READS: bool = false; // local reads: sequential consistency.
-
-    fn write_records(process: &dyn Any) -> BTreeMap<Key, Vec<(NodeId, u64, Time)>> {
-        let mut out: BTreeMap<Key, Vec<(NodeId, u64, Time)>> = BTreeMap::new();
-        let n = process.downcast_ref::<ZabNode>().expect("zab node");
-        for (key, client, op_id) in n.applied_ops() {
-            if let Some(key) = key {
-                out.entry(key)
-                    .or_default()
-                    .push((client, op_id, Time::ZERO));
-            }
-        }
-        out
-    }
-
-    fn global_log(process: &dyn Any) -> Option<Vec<(NodeId, u64)>> {
-        Some(
-            process
-                .downcast_ref::<ZabNode>()
-                .expect("zab node")
-                .applied_log(),
-        )
-    }
-}
-
-impl ChaosProtocol for RaftKvMsg {
-    const NAME: &'static str = "raftkv";
-    const LINEARIZABLE_READS: bool = true;
-
-    fn write_records(process: &dyn Any) -> BTreeMap<Key, Vec<(NodeId, u64, Time)>> {
-        process
-            .downcast_ref::<RaftKvNode>()
-            .expect("raftkv node")
-            .write_log_timed()
-            .clone()
-    }
-
-    fn global_log(process: &dyn Any) -> Option<Vec<(NodeId, u64)>> {
-        Some(
-            process
-                .downcast_ref::<RaftKvNode>()
-                .expect("raftkv node")
-                .applied_log()
-                .to_vec(),
-        )
-    }
-}
-
-// ---------------------------------------------------------------------
 // Verdict
 // ---------------------------------------------------------------------
 
@@ -563,8 +382,8 @@ pub struct ClientHistory<'a> {
 }
 
 /// Runs the full verdict: agreement (global and per-key), client FIFO,
-/// linearizability of reads (where the protocol promises it), and
-/// post-heal convergence.
+/// linearizability of reads (where the protocol promises it), post-heal
+/// convergence, and the protocol's own checks.
 ///
 /// Only **trusted** nodes — alive and never crashed — are held to the
 /// bar: a restarted node's log legitimately restarts mid-history, and its
@@ -785,275 +604,21 @@ pub fn chaos_verdict_parts<M: ChaosProtocol>(
                 .push(format!("linearizability violation: {v:?}"));
         }
     }
+
+    // 5. The protocol's own checks (e.g. per-shard agreement).
+    report.violations.extend(M::verdict_extras(trusted));
     report
 }
 
-// ---------------------------------------------------------------------
-// Sharded verdict
-// ---------------------------------------------------------------------
-
-/// The sharding-specific safety checks, layered on top of the base
-/// verdict: per-shard total-order agreement (the sharded engine promises
-/// a total order *within* each shard, not across them), key→shard routing
-/// stability (every committed key lives on the shard the router maps it
-/// to — a drifting hash would silently split a key's history), and
-/// cross-shard atomicity (a multi-key transaction's parts land on every
-/// trusted replica all-or-nothing).
-fn sharded_verdict_extras(trusted: &[(NodeId, &dyn Any)]) -> Vec<String> {
-    let mut violations = Vec::new();
-    let engines: Vec<(NodeId, &ShardEngine)> = trusted
-        .iter()
-        .map(|&(n, p)| (n, p.downcast_ref::<ShardEngine>().expect("shard engine")))
-        .collect();
-    let Some(&(_, first)) = engines.first() else {
-        return violations;
-    };
-    let shards = first.shard_count();
-    let router = first.router();
-
-    // Per-shard agreement: each shard's log is a totally ordered
-    // mini-Canopus; all trusted replicas must agree on its prefix.
-    for s in 0..shards {
-        let logs: Vec<Vec<(NodeId, u64)>> = engines
-            .iter()
-            .map(|&(_, e)| canopus_global_log(e.shard(s)))
-            .collect();
-        if let Err(d) = check_agreement(&logs) {
-            violations.push(format!(
-                "shard {s} commit order diverged at index {} (replica {:?})",
-                d.index, engines[d.replica].0
-            ));
-        }
-    }
-
-    // Routing stability + cross-shard transaction key sets, one walk.
-    let mut per_engine: Vec<(NodeId, BTreeMap<(NodeId, u64), BTreeSet<Key>>)> = Vec::new();
-    let mut full: BTreeMap<(NodeId, u64), BTreeSet<Key>> = BTreeMap::new();
-    for &(node, e) in &engines {
-        let mut txns: BTreeMap<(NodeId, u64), BTreeSet<Key>> = BTreeMap::new();
-        for s in 0..shards {
-            for cc in e.shard(s).committed_log() {
-                for set in &cc.sets {
-                    for op in &set.ops {
-                        let keys: &[Key] = match op {
-                            CommittedOp::Put { key, .. } => std::slice::from_ref(key),
-                            CommittedOp::MultiPut { keys, .. } => keys,
-                            CommittedOp::Synthetic { .. } => &[],
-                        };
-                        for &key in keys {
-                            if router.shard_of_key(key) != s {
-                                violations.push(format!(
-                                    "key {key} committed on shard {s} of node {node} but \
-                                     routes to shard {}",
-                                    router.shard_of_key(key)
-                                ));
-                            }
-                        }
-                        if let CommittedOp::MultiPut {
-                            client,
-                            op_id,
-                            keys,
-                        } = op
-                        {
-                            txns.entry((*client, *op_id))
-                                .or_default()
-                                .extend(keys.iter().copied());
-                        }
-                    }
-                }
-            }
-        }
-        for (t, keys) in &txns {
-            full.entry(*t).or_default().extend(keys.iter().copied());
-        }
-        per_engine.push((node, txns));
-    }
-
-    // All-or-nothing: a replica that committed *any* part of a
-    // transaction must have committed every part some trusted replica
-    // saw. The run leaves 300 ms of virtual drain after clients stop, so
-    // a lingering half-applied transaction is a protocol bug, not tail
-    // latency.
-    for (node, txns) in &per_engine {
-        for (t, keys) in txns {
-            let want = &full[t];
-            if keys != want {
-                violations.push(format!(
-                    "cross-shard txn (client {:?}, op {}) partially applied on node \
-                     {node}: {} of {} keys",
-                    t.0,
-                    t.1,
-                    keys.len(),
-                    want.len()
-                ));
-            }
-        }
-    }
-    violations
-}
-
-/// [`chaos_verdict`] plus the sharding extras: per-shard agreement,
-/// routing stability, and cross-shard atomicity.
-pub fn chaos_verdict_sharded(
-    cluster: &Cluster<ShardMsg>,
-    converge_after: Time,
-    convergence_exempt: &BTreeSet<NodeId>,
-) -> ChaosReport {
-    let mut report = chaos_verdict::<ShardMsg>(cluster, converge_after, convergence_exempt);
-    let trusted: Vec<(NodeId, &dyn Any)> = cluster
-        .trusted_nodes()
-        .iter()
-        .map(|&n| (n, cluster.sim.node_any(n)))
-        .collect();
-    report.violations.extend(sharded_verdict_extras(&trusted));
-    report
-}
-
-// ---------------------------------------------------------------------
-// Chaos cluster builders
-// ---------------------------------------------------------------------
-
-fn history_clients<M: ProtocolMsg + 'static>(
-    total: usize,
-    cfg: HistoryConfig,
-) -> impl FnMut(usize, NodeId) -> Box<dyn Process<M>> {
-    move |i, target| Box::new(HistoryClient::<M>::new(i, total, target, cfg.clone()))
+/// The chaos client model: one [`HistoryClient`] per protocol node, all
+/// sharing `cfg`.
+pub fn history_clients<M: ProtocolMsg + 'static>(
+    cfg: &HistoryConfig,
+) -> impl FnMut(usize, usize, NodeId) -> Box<dyn Process<M>> {
+    let cfg = cfg.clone();
+    move |i, n, target| Box::new(HistoryClient::<M>::new(i, n, target, cfg.clone()))
 }
 
 /// Flight-ring capacity for chaos clusters: enough to hold the tail of a
 /// run's consensus events for the failure dump without unbounded memory.
 pub const CHAOS_FLIGHT_CAP: usize = 256;
-
-fn chaos_obs() -> crate::cluster::ClusterObs {
-    crate::cluster::ClusterObs::on(CHAOS_FLIGHT_CAP)
-}
-
-/// A Canopus cluster driven by history clients (commit log recording on).
-/// Observability is enabled so a failing verdict can dump each node's
-/// flight recorder; recording is observation-only, so the execution is
-/// identical to an unobserved run (the determinism suite proves it).
-pub fn chaos_canopus(
-    spec: &crate::spec::DeploymentSpec,
-    hcfg: &HistoryConfig,
-    seed: u64,
-) -> Cluster<CanopusMsg> {
-    chaos_canopus_with_obs(spec, hcfg, seed, chaos_obs())
-}
-
-/// [`chaos_canopus`] with explicit observability configuration — the
-/// determinism regression compares an observed and an unobserved run.
-pub fn chaos_canopus_with_obs(
-    spec: &crate::spec::DeploymentSpec,
-    hcfg: &HistoryConfig,
-    seed: u64,
-    obs: crate::cluster::ClusterObs,
-) -> Cluster<CanopusMsg> {
-    let mut cfg = crate::cluster::canopus_config_for(spec);
-    cfg.record_log = true;
-    crate::cluster::build_canopus_with(
-        spec,
-        cfg,
-        seed,
-        history_clients(spec.node_count(), hcfg.clone()),
-        obs,
-    )
-}
-
-/// [`chaos_canopus`] with the throughput knobs engaged: a 1 ms batching
-/// window and `depth` consensus cycles in flight. The chaos suites run
-/// the same scenarios against this builder to show the knobs change
-/// performance, not the verdict.
-pub fn chaos_canopus_batched(
-    spec: &crate::spec::DeploymentSpec,
-    hcfg: &HistoryConfig,
-    seed: u64,
-    depth: u64,
-) -> Cluster<CanopusMsg> {
-    let mut cfg = crate::cluster::canopus_config_for(spec);
-    cfg.record_log = true;
-    cfg.max_linger = Dur::millis(1);
-    cfg.max_pipeline_depth = depth.max(1);
-    crate::cluster::build_canopus_with(
-        spec,
-        cfg,
-        seed,
-        history_clients(spec.node_count(), hcfg.clone()),
-        chaos_obs(),
-    )
-}
-
-/// A shard-parallel Canopus cluster driven by history clients: every
-/// node hosts `shards` independent LOT pipelines behind a
-/// [`ShardEngine`], and the verdict for it is [`chaos_verdict_sharded`].
-pub fn chaos_sharded_canopus(
-    spec: &crate::spec::DeploymentSpec,
-    hcfg: &HistoryConfig,
-    seed: u64,
-    shards: u16,
-) -> Cluster<ShardMsg> {
-    let mut cfg = crate::cluster::canopus_config_for(spec);
-    cfg.record_log = true;
-    crate::cluster::build_sharded_canopus_with(
-        spec,
-        |_| cfg.clone(),
-        shards,
-        seed,
-        history_clients(spec.node_count(), hcfg.clone()),
-        chaos_obs(),
-    )
-}
-
-/// An EPaxos cluster driven by history clients (2 ms batches, log on).
-pub fn chaos_epaxos(
-    spec: &crate::spec::DeploymentSpec,
-    hcfg: &HistoryConfig,
-    seed: u64,
-) -> Cluster<EpaxosMsg> {
-    let cfg = canopus_epaxos::EpaxosConfig {
-        batch_duration: Dur::millis(2),
-        record_log: true,
-        ..canopus_epaxos::EpaxosConfig::default()
-    };
-    crate::cluster::build_epaxos_with(
-        spec,
-        cfg,
-        seed,
-        history_clients(spec.node_count(), hcfg.clone()),
-        chaos_obs(),
-    )
-}
-
-/// A ZooKeeper-model cluster driven by history clients (≤ 5 participants,
-/// the rest observers).
-pub fn chaos_zab(
-    spec: &crate::spec::DeploymentSpec,
-    hcfg: &HistoryConfig,
-    seed: u64,
-) -> Cluster<ZabMsg> {
-    let cfg = canopus_zab::ZabConfig {
-        participants: spec.node_count().min(5),
-        ..canopus_zab::ZabConfig::default()
-    };
-    crate::cluster::build_zab_with(
-        spec,
-        cfg,
-        seed,
-        history_clients(spec.node_count(), hcfg.clone()),
-        chaos_obs(),
-    )
-}
-
-/// A Raft KV cluster driven by history clients.
-pub fn chaos_raftkv(
-    spec: &crate::spec::DeploymentSpec,
-    hcfg: &HistoryConfig,
-    seed: u64,
-) -> Cluster<RaftKvMsg> {
-    crate::cluster::build_raftkv_with(
-        spec,
-        crate::raftkv::RaftKvConfig::default(),
-        seed,
-        history_clients(spec.node_count(), hcfg.clone()),
-        chaos_obs(),
-    )
-}

@@ -13,6 +13,7 @@ pub mod cluster;
 pub mod history;
 pub mod live;
 pub mod mux;
+pub mod protocol;
 pub mod raftkv;
 pub mod run;
 pub mod scenarios;
@@ -20,25 +21,20 @@ pub mod spec;
 pub mod table;
 
 pub use cluster::{
-    build_canopus, build_canopus_obs, build_canopus_with, build_custom, build_custom_cfg,
-    build_epaxos, build_epaxos_with, build_raftkv, build_raftkv_with, build_sharded_canopus,
-    build_sharded_canopus_obs, build_sharded_canopus_with, build_zab, build_zab_with,
-    canopus_config_for, emulation_table_for, ChaosFabric, Cluster, ClusterObs, RestartFactory,
+    build_cluster, canopus_config_for, open_loop_clients, ChaosFabric, Cluster, ClusterObs,
     SilentNode,
 };
 pub use history::{
-    chaos_canopus, chaos_canopus_batched, chaos_canopus_with_obs, chaos_epaxos, chaos_raftkv,
-    chaos_sharded_canopus, chaos_verdict, chaos_verdict_parts, chaos_verdict_sharded, chaos_zab,
-    decode_tag, encode_tag, ChaosProtocol, ChaosReport, ClientHistory, HistoryClient,
-    HistoryConfig, HistoryOp, CHAOS_FLIGHT_CAP,
+    chaos_verdict, chaos_verdict_parts, decode_tag, encode_tag, history_clients, ChaosReport,
+    ClientHistory, HistoryClient, HistoryConfig, HistoryOp, CHAOS_FLIGHT_CAP,
 };
 pub use live::{
-    live_canopus_config, live_chaos_canopus, live_chaos_canopus_batched, live_chaos_raftkv,
-    live_chaos_zab, live_history_config, live_raft_config, live_raftkv_config, live_time_unit,
-    live_timeline, live_topology, live_zab_config, AttachObs, LiveCluster, LiveOutcome,
-    LIVE_FLIGHT_CAP, LIVE_TIME_UNIT,
+    live_canopus_config, live_history_config, live_raft_config, live_raftkv_config, live_time_unit,
+    live_timeline, live_topology, live_zab_config, LiveCluster, LiveOutcome, LIVE_FLIGHT_CAP,
+    LIVE_TIME_UNIT,
 };
 pub use mux::{session_op_base, ClientMux};
+pub use protocol::{emulation_table_for, ChaosProtocol, Recipe, ShardedConfig};
 pub use raftkv::{RaftKvConfig, RaftKvMsg, RaftKvNode, RaftKvStats};
 pub use run::{
     deterministic_check, find_max_throughput, latency_at_70pct, run_canopus, run_epaxos, run_zab,

@@ -13,11 +13,11 @@
 //!   `PartitionableFabric<LossyFabric<_>>`;
 //! * `Crash` stops the node's loop (keeping its final process state) and
 //!   marks it crashed in the rules so peers drop its traffic;
-//! * `Restart` rebuilds a replacement process through the cluster's
-//!   per-protocol [`RestartFactory`] — the same policies the simulator
-//!   uses (ZAB resyncs as a recovering follower, Raft KV recovers its
-//!   durable state, EPaxos re-installs a crash-stop silent node) — and
-//!   respawns the loop on the *same* listening socket (kept alive across
+//! * `Restart` rebuilds a replacement process through the protocol's
+//!   [`ChaosProtocol`] recipe — the same policies the simulator uses
+//!   (ZAB resyncs as a recovering follower, Raft KV recovers its durable
+//!   state, EPaxos re-installs a crash-stop silent node) — and respawns
+//!   the loop on the *same* listening socket (kept alive across
 //!   the crash via `TcpListener::try_clone`, so no rebind race).
 //!
 //! After the run, [`LiveCluster::shutdown`] collects every final process
@@ -56,31 +56,27 @@ use std::net::TcpListener;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use canopus::{CanopusConfig, CanopusMsg, CanopusNode, CycleTrigger, EmulationTable, LotShape};
+use canopus::{CanopusConfig, CycleTrigger};
 use canopus_net::tcp::{spawn_node_obs, NetObs, PeerMap, TcpNodeHandle};
 use canopus_net::{FaultRules, Wire};
-use canopus_obs::{EventKind as ObsEvent, NodeObs, Snapshot};
+use canopus_obs::{EventKind as ObsEvent, Snapshot};
 use canopus_raft::RaftConfig;
 use canopus_sim::fault::{FaultAction, FaultPlan, NemesisFabric, NemesisSchedule};
 use canopus_sim::{Dur, NodeId, Payload, Process, Time};
-use canopus_zab::{ZabConfig, ZabMsg, ZabNode};
+use canopus_zab::ZabConfig;
 
-use crate::cluster::RestartFactory;
+use crate::cluster::ClusterObs;
 use crate::history::{
-    chaos_verdict_parts, ChaosProtocol, ChaosReport, ClientHistory, HistoryClient, HistoryConfig,
+    chaos_verdict_parts, ChaosReport, ClientHistory, HistoryClient, HistoryConfig,
 };
 use crate::mux::ClientMux;
-use crate::raftkv::{RaftKvConfig, RaftKvMsg, RaftKvNode};
+use crate::protocol::{ChaosProtocol, Recipe};
+use crate::raftkv::RaftKvConfig;
 use crate::scenarios::{ChaosTimeline, ChaosTopology};
 
 /// Flight-ring capacity per live node: the tail of a run's consensus
 /// events, kept small because each live node is a handful of OS threads.
 pub const LIVE_FLIGHT_CAP: usize = 256;
-
-/// Re-attaches a node's observability hub to a freshly built process —
-/// needed on restart because the per-protocol restart factories build
-/// bare processes. Each live builder supplies the protocol's downcast.
-pub type AttachObs<M> = Box<dyn Fn(Box<dyn Process<M>>, NodeObs) -> Box<dyn Process<M>>>;
 
 /// The default real-time "tick" for live clusters. Every live election,
 /// failure, and fetch timeout is a multiple of the unit; runs read it via
@@ -218,54 +214,34 @@ pub struct LiveCluster<M: ChaosProtocol + Wire + Send> {
     /// keep their classic virtual ids `n..2n` inside the [`ClientMux`]).
     mux: LiveSlot<M>,
     /// Final states of currently-crashed nodes (fed to the restart
-    /// factory, mirroring `Simulation::take_crashed`).
+    /// policy, mirroring `Simulation::take_crashed`).
     down: BTreeMap<NodeId, Box<dyn Process<M>>>,
     ever_crashed: BTreeSet<NodeId>,
-    restart_factory: RestartFactory<M>,
-    /// One observability hub per protocol node (inert unless spawned via
-    /// [`LiveCluster::spawn_obs`]).
-    hubs: Vec<NodeObs>,
-    attach: Option<AttachObs<M>>,
+    /// Builds every node and its restart replacement; holds the nodes'
+    /// enabled observability hubs.
+    recipe: Recipe<M>,
 }
 
 impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
-    /// Binds `n` protocol nodes plus one client-mux node on loopback
-    /// ephemeral ports and spawns every loop. `make_node(id)` builds the
-    /// protocol processes; the mux hosts `n` [`HistoryClient`] sessions
-    /// (virtual ids `n..2n`, each targeting its co-indexed node) behind a
-    /// single listener — the peer map points every virtual client id at
-    /// that listener, so replies multiplex over one connection per node.
-    pub fn spawn(
-        n: usize,
-        hcfg: &HistoryConfig,
-        seed: u64,
-        make_node: impl FnMut(NodeId) -> Box<dyn Process<M>>,
-        restart_factory: RestartFactory<M>,
-    ) -> Self {
-        Self::spawn_obs(n, hcfg, seed, make_node, restart_factory, None)
-    }
-
-    /// [`LiveCluster::spawn`] with observability: when `attach` is given,
-    /// every protocol node gets an enabled hub ([`LIVE_FLIGHT_CAP`]-event
-    /// flight ring + registry) wired into both its process (via `attach`)
-    /// and its transport (per-peer traffic, flush sizes, queue depth).
-    pub fn spawn_obs(
-        n: usize,
-        hcfg: &HistoryConfig,
-        seed: u64,
-        mut make_node: impl FnMut(NodeId) -> Box<dyn Process<M>>,
-        restart_factory: RestartFactory<M>,
-        attach: Option<AttachObs<M>>,
-    ) -> Self {
-        let hubs: Vec<NodeObs> = (0..n as u32)
-            .map(|i| {
-                if attach.is_some() {
-                    NodeObs::enabled(i, LIVE_FLIGHT_CAP)
-                } else {
-                    NodeObs::disabled()
-                }
-            })
-            .collect();
+    /// Binds one protocol node per slot of `topo` plus one client-mux
+    /// node on loopback ephemeral ports and spawns every loop. Nodes are
+    /// built from `M`'s recipe with `cfg` and `seed`; the mux hosts `n`
+    /// [`HistoryClient`] sessions (virtual ids `n..2n`, each targeting its
+    /// co-indexed node) behind a single listener — the peer map points
+    /// every virtual client id at that listener, so replies multiplex
+    /// over one connection per node.
+    ///
+    /// Every protocol node gets an enabled hub ([`LIVE_FLIGHT_CAP`]-event
+    /// flight ring + registry) wired into both its process and its
+    /// transport (per-peer traffic, flush sizes, queue depth).
+    pub fn spawn(topo: &ChaosTopology, cfg: M::Config, hcfg: &HistoryConfig, seed: u64) -> Self {
+        let n = topo.node_count();
+        let recipe = Recipe::new(
+            topo.super_leaves(),
+            cfg,
+            seed,
+            ClusterObs::on(LIVE_FLIGHT_CAP),
+        );
         let rules = Arc::new(FaultRules::new(seed));
         let mut peers = PeerMap::new();
         let bind = |id: NodeId, peers: &mut PeerMap| {
@@ -298,13 +274,11 @@ impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
             },
             down: BTreeMap::new(),
             ever_crashed: BTreeSet::new(),
-            restart_factory,
-            hubs,
-            attach,
+            recipe,
         };
         for (i, listener) in node_listeners.into_iter().enumerate() {
             let id = NodeId(i as u32);
-            let process = cluster.attach_obs(id, make_node(id));
+            let process = M::node(id, &cluster.recipe);
             let handle = cluster.launch(id, &listener, process);
             cluster.nodes.push(LiveSlot {
                 id,
@@ -318,14 +292,6 @@ impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
         cluster
     }
 
-    /// Runs a fresh process through the obs attach hook, when both exist.
-    fn attach_obs(&self, id: NodeId, process: Box<dyn Process<M>>) -> Box<dyn Process<M>> {
-        match (&self.attach, self.hubs.get(id.0 as usize)) {
-            (Some(attach), Some(hub)) if hub.is_enabled() => attach(process, hub.clone()),
-            _ => process,
-        }
-    }
-
     fn launch(
         &self,
         id: NodeId,
@@ -333,12 +299,12 @@ impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
         process: Box<dyn Process<M>>,
     ) -> TcpNodeHandle<M> {
         let listener = listener.try_clone().expect("clone listener");
-        let net_obs = self
-            .hubs
-            .get(id.0 as usize)
-            .filter(|hub| hub.is_enabled())
-            .map(|hub| NetObs::new(hub.clone()))
-            .unwrap_or_default();
+        // The client mux has no hub; its transport stays unobserved.
+        let net_obs = if id == self.mux.id {
+            NetObs::disabled()
+        } else {
+            NetObs::new(self.recipe.hubs(id)[0].clone())
+        };
         spawn_node_obs(
             id,
             process,
@@ -363,30 +329,6 @@ impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
     /// Protocol node ids.
     pub fn node_ids(&self) -> Vec<NodeId> {
         self.nodes.iter().map(|s| s.id).collect()
-    }
-
-    /// Per-node observability hubs (inert unless spawned with obs).
-    pub fn obs_hubs(&self) -> &[NodeObs] {
-        &self.hubs
-    }
-
-    /// Every node's metrics registry, snapshotted: `(node id, snapshot)`.
-    pub fn metrics_snapshots(&self) -> Vec<(NodeId, Snapshot)> {
-        self.hubs
-            .iter()
-            .enumerate()
-            .map(|(i, hub)| (NodeId(i as u32), hub.metrics.snapshot()))
-            .collect()
-    }
-
-    /// Every node's flight recorder, dumped (`last` events each) into one
-    /// string — the panic artifact chaos failures attach.
-    pub fn flight_dump(&self, last: usize) -> String {
-        let mut out = String::new();
-        for hub in &self.hubs {
-            out.push_str(&hub.flight.dump_last(last));
-        }
-        out
     }
 
     /// Replays `plan` against the live cluster over the next `horizon` of
@@ -438,7 +380,7 @@ impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
     }
 
     /// Crash-stops a live node: peers start dropping its traffic, then its
-    /// loop is stopped and its final state kept for the restart factory.
+    /// loop is stopped and its final state kept for the restart policy.
     /// Returns `false` if the node was already down.
     fn crash(&mut self, id: NodeId) -> bool {
         let slot = &mut self.nodes[id.0 as usize];
@@ -448,26 +390,21 @@ impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
         // Mark first so in-flight traffic is dropped while the loop winds
         // down — the closest live analogue of an instantaneous crash.
         self.rules.set_crashed(id, true);
-        if let Some(hub) = self.hubs.get(id.0 as usize) {
-            hub.event(self.now().as_nanos(), ObsEvent::Crash);
-        }
+        self.recipe.hubs(id)[0].event(self.now().as_nanos(), ObsEvent::Crash);
         let process = handle.stop();
         self.down.insert(id, process);
         true
     }
 
-    /// Restarts a crashed node through the restart factory, on the same
-    /// listening socket. No-op if the node is up.
+    /// Restarts a crashed node through the protocol's restart policy, on
+    /// the same listening socket. No-op if the node is up.
     fn restart(&mut self, id: NodeId) {
         if self.nodes[id.0 as usize].handle.is_some() {
             return;
         }
         let old = self.down.remove(&id);
-        let process = (self.restart_factory)(id, old);
-        let process = self.attach_obs(id, process);
-        if let Some(hub) = self.hubs.get(id.0 as usize) {
-            hub.event(self.now().as_nanos(), ObsEvent::Restart);
-        }
+        let process = M::restart(id, old, &self.recipe);
+        self.recipe.hubs(id)[0].event(self.now().as_nanos(), ObsEvent::Restart);
         let listener = self.nodes[id.0 as usize]
             .listener
             .try_clone()
@@ -521,7 +458,7 @@ impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
             nodes,
             clients,
             ever_crashed: self.ever_crashed,
-            hubs: self.hubs,
+            recipe: self.recipe,
         }
     }
 }
@@ -558,29 +495,21 @@ pub struct LiveOutcome<M: ChaosProtocol> {
     pub clients: Vec<(NodeId, NodeId, Box<dyn Process<M>>)>,
     /// Nodes the nemesis crashed at least once.
     pub ever_crashed: BTreeSet<NodeId>,
-    /// Per-node observability hubs, retained across shutdown so a failing
+    /// The deployment's recipe, retained across shutdown so a failing
     /// verdict can still dump flight recorders and collect metrics.
-    pub hubs: Vec<NodeObs>,
+    recipe: Recipe<M>,
 }
 
 impl<M: ChaosProtocol> LiveOutcome<M> {
     /// Every node's flight recorder, dumped (`last` events each) into one
     /// string — the panic artifact chaos failures attach.
     pub fn flight_dump(&self, last: usize) -> String {
-        let mut out = String::new();
-        for hub in &self.hubs {
-            out.push_str(&hub.flight.dump_last(last));
-        }
-        out
+        self.recipe.flight_dump(last)
     }
 
     /// Every node's metrics registry, snapshotted: `(node id, snapshot)`.
     pub fn metrics_snapshots(&self) -> Vec<(NodeId, Snapshot)> {
-        self.hubs
-            .iter()
-            .enumerate()
-            .map(|(i, hub)| (NodeId(i as u32), hub.metrics.snapshot()))
-            .collect()
+        self.recipe.metrics_snapshots()
     }
 
     /// Nodes held to the full safety and convergence bar: up at shutdown
@@ -607,9 +536,9 @@ impl<M: ChaosProtocol> LiveOutcome<M> {
     }
 
     /// Runs the shared chaos verdict over the recovered states: agreement
-    /// (global + per-key), client FIFO, read validity, and post-heal
-    /// convergence. Linearizability timing is skipped (no common clock
-    /// across live nodes).
+    /// (global + per-key), client FIFO, read validity, post-heal
+    /// convergence, and the protocol's own checks. Linearizability timing
+    /// is skipped (no common clock across live nodes).
     pub fn verdict(
         &self,
         converge_after: Time,
@@ -644,143 +573,4 @@ impl<M: ChaosProtocol> LiveOutcome<M> {
             false,
         )
     }
-}
-
-// ---------------------------------------------------------------------
-// Per-protocol live builders
-// ---------------------------------------------------------------------
-
-/// A live Canopus cluster (commit-log recording on, for the verdict).
-pub fn live_chaos_canopus(
-    topo: &ChaosTopology,
-    hcfg: &HistoryConfig,
-    seed: u64,
-) -> LiveCluster<CanopusMsg> {
-    let cfg = CanopusConfig {
-        record_log: true,
-        ..live_canopus_config()
-    };
-    live_chaos_canopus_with(topo, hcfg, seed, cfg)
-}
-
-/// [`live_chaos_canopus`] with the throughput knobs engaged: an
-/// eighth-unit batching window (the same scale as the clients' issue gap,
-/// so windows really do aggregate concurrent clients) and `depth` cycles
-/// in flight, over real sockets. The live chaos suite runs partition
-/// scenarios against this builder to show batching and pipelining leave
-/// the verdict unchanged outside the simulator too.
-pub fn live_chaos_canopus_batched(
-    topo: &ChaosTopology,
-    hcfg: &HistoryConfig,
-    seed: u64,
-    depth: u64,
-) -> LiveCluster<CanopusMsg> {
-    let cfg = CanopusConfig {
-        record_log: true,
-        max_linger: live_time_unit() / 8,
-        max_pipeline_depth: depth.max(1),
-        ..live_canopus_config()
-    };
-    live_chaos_canopus_with(topo, hcfg, seed, cfg)
-}
-
-fn live_chaos_canopus_with(
-    topo: &ChaosTopology,
-    hcfg: &HistoryConfig,
-    seed: u64,
-    cfg: CanopusConfig,
-) -> LiveCluster<CanopusMsg> {
-    let shape = LotShape::flat(topo.groups as u16);
-    let membership: Vec<Vec<NodeId>> = (0..topo.groups).map(|g| topo.leaf(g)).collect();
-    let table = EmulationTable::new(shape, membership);
-    let restart_table = table.clone();
-    let restart_cfg = cfg.clone();
-    LiveCluster::spawn_obs(
-        topo.node_count(),
-        hcfg,
-        seed,
-        |id| Box::new(CanopusNode::new(id, table.clone(), cfg.clone(), seed)),
-        Box::new(move |id, _old| {
-            Box::new(CanopusNode::new(
-                id,
-                restart_table.clone(),
-                restart_cfg.clone(),
-                seed,
-            ))
-        }),
-        Some(Box::new(|p, hub| {
-            let node = p
-                .into_any()
-                .downcast::<CanopusNode>()
-                .expect("canopus node");
-            Box::new(node.with_obs(hub))
-        })),
-    )
-}
-
-/// A live ZAB cluster (≤ 5 quorum participants, the rest observers); a
-/// restarted node boots as a recovering follower and resyncs its history.
-pub fn live_chaos_zab(
-    topo: &ChaosTopology,
-    hcfg: &HistoryConfig,
-    seed: u64,
-) -> LiveCluster<ZabMsg> {
-    let n = topo.node_count();
-    let cfg = live_zab_config(n.min(5));
-    let ensemble: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-    let restart_ensemble = ensemble.clone();
-    let restart_cfg = cfg.clone();
-    LiveCluster::spawn_obs(
-        n,
-        hcfg,
-        seed,
-        |id| Box::new(ZabNode::new(id, ensemble.clone(), cfg.clone())),
-        Box::new(move |id, _old| {
-            Box::new(ZabNode::recovering(
-                id,
-                restart_ensemble.clone(),
-                restart_cfg.clone(),
-            ))
-        }),
-        Some(Box::new(|p, hub| {
-            let node = p.into_any().downcast::<ZabNode>().expect("zab node");
-            Box::new(node.with_obs(hub))
-        })),
-    )
-}
-
-/// A live Raft KV cluster; a restarted node recovers its durable Raft
-/// state (term, vote, log) from the crashed process.
-pub fn live_chaos_raftkv(
-    topo: &ChaosTopology,
-    hcfg: &HistoryConfig,
-    seed: u64,
-) -> LiveCluster<RaftKvMsg> {
-    let n = topo.node_count();
-    let cfg = live_raftkv_config();
-    let members: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-    let restart_members = members.clone();
-    let restart_cfg = cfg.clone();
-    LiveCluster::spawn_obs(
-        n,
-        hcfg,
-        seed,
-        |id| Box::new(RaftKvNode::new(id, members.clone(), cfg.clone(), seed)),
-        Box::new(move |id, old| {
-            let recovered = old.and_then(|p| p.into_any().downcast::<RaftKvNode>().ok());
-            match recovered {
-                Some(node) => Box::new(RaftKvNode::recover(&node, seed)),
-                None => Box::new(RaftKvNode::new(
-                    id,
-                    restart_members.clone(),
-                    restart_cfg.clone(),
-                    seed,
-                )),
-            }
-        }),
-        Some(Box::new(|p, hub| {
-            let node = p.into_any().downcast::<RaftKvNode>().expect("raft kv node");
-            Box::new(node.with_obs(hub))
-        })),
-    )
 }

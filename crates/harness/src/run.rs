@@ -7,13 +7,14 @@
 
 use canopus::{CanopusConfig, CanopusMsg, CanopusNode};
 use canopus_epaxos::{EpaxosConfig, EpaxosMsg, EpaxosNode};
-use canopus_sim::{Dur, Payload};
-use canopus_workload::{LatencyRecorder, OpenLoopClient, ProtocolMsg};
+use canopus_sim::Dur;
+use canopus_workload::{LatencyRecorder, OpenLoopClient};
 use canopus_zab::{ZabConfig, ZabMsg, ZabNode};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::cluster::{build_canopus, build_epaxos, build_zab, Cluster};
+use crate::cluster::{build_cluster, open_loop_clients, Cluster, ClusterObs};
+use crate::protocol::ChaosProtocol;
 use crate::spec::{DeploymentSpec, LoadSpec};
 
 /// The outcome of one measured run.
@@ -53,15 +54,13 @@ impl RunResult {
     }
 }
 
-/// Collects client recorders into a [`RunResult`].
-fn collect<M>(
+/// Collects the open-loop clients' recorders of a cluster that has run
+/// `load` into a [`RunResult`]; `progressed` decides its health.
+pub fn collect<M: ChaosProtocol>(
     cluster: &Cluster<M>,
     load: &LoadSpec,
     progressed: impl Fn(&Cluster<M>) -> bool,
-) -> RunResult
-where
-    M: Payload + ProtocolMsg,
-{
+) -> RunResult {
     let mut writes = LatencyRecorder::default();
     let mut reads = LatencyRecorder::default();
     let mut rng = SmallRng::seed_from_u64(0xA77E);
@@ -92,7 +91,13 @@ pub fn run_canopus(
     cfg: CanopusConfig,
     seed: u64,
 ) -> RunResult {
-    let mut cluster = build_canopus(spec, load, cfg, seed);
+    let mut cluster = build_cluster(
+        spec,
+        cfg,
+        seed,
+        open_loop_clients(load, seed),
+        ClusterObs::off(),
+    );
     cluster.sim.run_for(load.warmup + load.duration);
     collect::<CanopusMsg>(&cluster, load, |c| {
         c.nodes
@@ -108,7 +113,13 @@ pub fn run_epaxos(
     cfg: EpaxosConfig,
     seed: u64,
 ) -> RunResult {
-    let mut cluster = build_epaxos(spec, load, cfg, seed);
+    let mut cluster = build_cluster(
+        spec,
+        cfg,
+        seed,
+        open_loop_clients(load, seed),
+        ClusterObs::off(),
+    );
     cluster.sim.run_for(load.warmup + load.duration);
     collect::<EpaxosMsg>(&cluster, load, |c| {
         c.nodes
@@ -119,7 +130,13 @@ pub fn run_epaxos(
 
 /// Runs a ZooKeeper-model deployment and measures it.
 pub fn run_zab(spec: &DeploymentSpec, load: &LoadSpec, cfg: ZabConfig, seed: u64) -> RunResult {
-    let mut cluster = build_zab(spec, load, cfg, seed);
+    let mut cluster = build_cluster(
+        spec,
+        cfg,
+        seed,
+        open_loop_clients(load, seed),
+        ClusterObs::off(),
+    );
     cluster.sim.run_for(load.warmup + load.duration);
     collect::<ZabMsg>(&cluster, load, |c| {
         c.nodes

@@ -50,6 +50,11 @@ impl ChaosTopology {
             .collect()
     }
 
+    /// The members of every super-leaf, in order.
+    pub fn super_leaves(&self) -> Vec<Vec<NodeId>> {
+        (0..self.groups).map(|g| self.leaf(g)).collect()
+    }
+
     /// The members of several super-leaves.
     pub fn leaves(&self, gs: impl IntoIterator<Item = u32>) -> Vec<NodeId> {
         gs.into_iter().flat_map(|g| self.leaf(g)).collect()

@@ -1,7 +1,7 @@
 //! Deployment and load specifications shared by all experiments.
 
 use canopus_net::{LinkParams, Topology, WanMatrix};
-use canopus_sim::Dur;
+use canopus_sim::{Dur, NodeId};
 
 /// Where nodes are placed.
 #[derive(Clone, Debug)]
@@ -86,6 +86,14 @@ impl DeploymentSpec {
             TopoSpec::SingleDc { nodes_per_rack, .. } => nodes_per_rack,
             TopoSpec::MultiDc { nodes_per_dc, .. } => nodes_per_dc,
         }
+    }
+
+    /// The protocol nodes of each super-leaf: ids dense and group-major.
+    pub fn super_leaves(&self) -> Vec<Vec<NodeId>> {
+        let per = self.per_group();
+        (0..self.group_count())
+            .map(|g| (0..per).map(|i| NodeId((g * per + i) as u32)).collect())
+            .collect()
     }
 
     /// Builds the topology with the protocol nodes placed; client

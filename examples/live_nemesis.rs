@@ -16,8 +16,11 @@
 //! registry (consensus counters, per-peer wire traffic, fault drops) at
 //! exit. Exits non-zero if any safety or convergence check fails.
 
+use canopus::{CanopusConfig, CanopusMsg};
 use canopus_harness::scenarios::superleaf_partition;
-use canopus_harness::{live_chaos_canopus, live_history_config, live_timeline, live_topology};
+use canopus_harness::{
+    live_canopus_config, live_history_config, live_timeline, live_topology, LiveCluster,
+};
 
 fn main() {
     let show_metrics = std::env::args().any(|a| a == "--metrics");
@@ -31,7 +34,11 @@ fn main() {
         topo.node_count(),
         topo.node_count()
     );
-    let mut cluster = live_chaos_canopus(&topo, &live_history_config(), seed);
+    let cfg = CanopusConfig {
+        record_log: true,
+        ..live_canopus_config()
+    };
+    let mut cluster = LiveCluster::<CanopusMsg>::spawn(&topo, cfg, &live_history_config(), seed);
 
     println!(
         "running scenario `{}` on the wall clock ({} ms horizon):",

@@ -10,8 +10,11 @@
 //! Exits non-zero if any safety or convergence check fails, so the smoke
 //! verification path can run it directly.
 
-use canopus::CanopusNode;
-use canopus_harness::{chaos_canopus, chaos_verdict, DeploymentSpec, HistoryConfig};
+use canopus::{CanopusConfig, CanopusMsg, CanopusNode};
+use canopus_harness::{
+    build_cluster, canopus_config_for, chaos_verdict, history_clients, ClusterObs, DeploymentSpec,
+    HistoryConfig, CHAOS_FLIGHT_CAP,
+};
 use canopus_sim::fault::{FaultEvent, FaultPlan};
 use canopus_sim::{Dur, NodeId, Time};
 
@@ -24,7 +27,17 @@ fn main() {
         ..HistoryConfig::default()
     };
     let seed = 7;
-    let mut cluster = chaos_canopus(&spec, &hcfg, seed);
+    let cfg = CanopusConfig {
+        record_log: true,
+        ..canopus_config_for(&spec)
+    };
+    let mut cluster = build_cluster::<CanopusMsg>(
+        &spec,
+        cfg,
+        seed,
+        history_clients(&hcfg),
+        ClusterObs::on(CHAOS_FLIGHT_CAP),
+    );
     cluster.sim.enable_trace_hash();
 
     // Cut super-leaf 0 from super-leaves 1 and 2 at t=200 ms; heal at

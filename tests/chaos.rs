@@ -15,6 +15,8 @@
 //! Seed count: 20 by default (the acceptance sweep), `CHAOS_SEEDS=ci` for
 //! a quick fixed set in CI, `CHAOS_SEEDS=extended` for a deep local sweep.
 
+use canopus::{CanopusConfig, CanopusMsg};
+use canopus_epaxos::{EpaxosConfig, EpaxosMsg};
 use canopus_harness::scenarios::{
     asymmetric_loss as asymmetric_loss_in, crash_restart_churn as crash_restart_churn_in,
     leader_crash_mid_round as leader_crash_mid_round_in, link_flapping as link_flapping_in,
@@ -23,10 +25,12 @@ use canopus_harness::scenarios::{
     superleaf_partition as superleaf_partition_in,
 };
 use canopus_harness::{
-    chaos_canopus, chaos_canopus_batched, chaos_canopus_with_obs, chaos_epaxos, chaos_raftkv,
-    chaos_verdict, chaos_zab, ChaosProtocol, ChaosReport, ChaosScenario, ChaosTimeline,
-    ChaosTopology, Cluster, ClusterObs, DeploymentSpec, HistoryConfig,
+    build_cluster, canopus_config_for, chaos_verdict, history_clients, ChaosProtocol, ChaosReport,
+    ChaosScenario, ChaosTimeline, ChaosTopology, Cluster, ClusterObs, DeploymentSpec,
+    HistoryConfig, RaftKvConfig, RaftKvMsg, CHAOS_FLIGHT_CAP,
 };
+use canopus_sim::Dur;
+use canopus_zab::{ZabConfig, ZabMsg};
 
 // ---------------------------------------------------------------------
 // Deployment and timeline
@@ -75,15 +79,47 @@ fn partition_then_crash_restart() -> ChaosScenario {
     partition_then_crash_restart_in(&topo(), &timeline())
 }
 
+// ---------------------------------------------------------------------
+// Protocol configurations (commit-log recording on, for the verdict)
+// ---------------------------------------------------------------------
+
+fn canopus() -> CanopusConfig {
+    CanopusConfig {
+        record_log: true,
+        ..canopus_config_for(&spec())
+    }
+}
+
 /// Canopus with the throughput knobs on: 1 ms super-leaf batching windows
 /// and 4 cycles in flight. The batched sweeps assert the same verdict as
 /// the defaults — the knobs must not trade safety for throughput.
-fn chaos_canopus_batched4(
-    spec: &DeploymentSpec,
-    hcfg: &HistoryConfig,
-    seed: u64,
-) -> Cluster<canopus::CanopusMsg> {
-    chaos_canopus_batched(spec, hcfg, seed, 4)
+fn canopus_batched4() -> CanopusConfig {
+    CanopusConfig {
+        max_linger: Dur::millis(1),
+        max_pipeline_depth: 4,
+        ..canopus()
+    }
+}
+
+fn raftkv() -> RaftKvConfig {
+    RaftKvConfig::default()
+}
+
+/// 2 ms batches.
+fn epaxos() -> EpaxosConfig {
+    EpaxosConfig {
+        batch_duration: Dur::millis(2),
+        record_log: true,
+        ..EpaxosConfig::default()
+    }
+}
+
+/// At most 5 participants, the rest observers.
+fn zab() -> ZabConfig {
+    ZabConfig {
+        participants: spec().node_count().min(5),
+        ..ZabConfig::default()
+    }
 }
 
 fn seeds() -> Vec<u64> {
@@ -110,12 +146,20 @@ fn history_config() -> HistoryConfig {
     }
 }
 
+/// A cluster of `M` driven by history clients. Observability is enabled
+/// so a failing verdict can dump each node's flight recorder; recording
+/// is observation-only, so the execution is identical to an unobserved
+/// run (the determinism suite proves it).
+fn chaos_cluster<M: ChaosProtocol>(cfg: M::Config, seed: u64, obs: ClusterObs) -> Cluster<M> {
+    build_cluster(&spec(), cfg, seed, history_clients(&history_config()), obs)
+}
+
 fn run_one<M: ChaosProtocol>(
-    build: fn(&DeploymentSpec, &HistoryConfig, u64) -> Cluster<M>,
+    cfg: fn() -> M::Config,
     scenario: &ChaosScenario,
     seed: u64,
 ) -> (ChaosReport, Cluster<M>) {
-    let mut cluster = build(&spec(), &history_config(), seed);
+    let mut cluster = chaos_cluster(cfg(), seed, ClusterObs::on(CHAOS_FLIGHT_CAP));
     cluster.apply_plan(&scenario.plan, timeline().run_for);
     let report = chaos_verdict(
         &cluster,
@@ -129,12 +173,9 @@ fn run_one<M: ChaosProtocol>(
 /// whole ring.
 const DUMP_EVENTS: usize = 40;
 
-fn sweep<M: ChaosProtocol>(
-    build: fn(&DeploymentSpec, &HistoryConfig, u64) -> Cluster<M>,
-    scenario: ChaosScenario,
-) {
+fn sweep<M: ChaosProtocol>(cfg: fn() -> M::Config, scenario: ChaosScenario) {
     for seed in seeds() {
-        let (report, cluster) = run_one(build, &scenario, seed);
+        let (report, cluster) = run_one::<M>(cfg, &scenario, seed);
         assert!(
             report.ok(),
             "{} / {} / seed {:#x}: {} ok, {} timed out, violations: {:#?}
@@ -168,7 +209,7 @@ fn sweep<M: ChaosProtocol>(
 #[should_panic(expected = "flight recorder dump")]
 fn broken_verdict_dumps_flight_recorders() {
     let scenario = superleaf_partition();
-    let (report, cluster) = run_one(chaos_canopus, &scenario, 0xBAD5EED);
+    let (report, cluster) = run_one::<CanopusMsg>(canopus, &scenario, 0xBAD5EED);
     assert!(
         report.ops_ok == 0, // deliberately impossible: healthy runs commit ops
         "deliberately broken bar ({} ops committed)
@@ -179,58 +220,53 @@ fn broken_verdict_dumps_flight_recorders() {
 }
 
 macro_rules! chaos_matrix {
-    ($($test:ident: $builder:ident / $msg:ty => $scenario:ident;)*) => {
+    ($($test:ident: $cfg:ident / $msg:ty => $scenario:ident;)*) => {
         $(
             #[test]
             fn $test() {
-                sweep::<$msg>($builder, $scenario());
+                sweep::<$msg>($cfg, $scenario());
             }
         )*
     };
 }
 
-use canopus::CanopusMsg;
-use canopus_epaxos::EpaxosMsg;
-use canopus_harness::RaftKvMsg;
-use canopus_zab::ZabMsg;
-
 chaos_matrix! {
-    canopus_superleaf_partition: chaos_canopus / CanopusMsg => superleaf_partition;
-    canopus_majority_minority:   chaos_canopus / CanopusMsg => majority_minority_split;
-    canopus_leader_crash:        chaos_canopus / CanopusMsg => leader_crash_mid_round;
-    canopus_churn:               chaos_canopus / CanopusMsg => crash_restart_churn;
-    canopus_asymmetric_loss:     chaos_canopus / CanopusMsg => asymmetric_loss;
-    canopus_link_flapping:       chaos_canopus / CanopusMsg => link_flapping;
-    canopus_node_isolated:       chaos_canopus / CanopusMsg => node_isolated;
-    canopus_partition_crash_restart: chaos_canopus / CanopusMsg => partition_then_crash_restart;
+    canopus_superleaf_partition: canopus / CanopusMsg => superleaf_partition;
+    canopus_majority_minority:   canopus / CanopusMsg => majority_minority_split;
+    canopus_leader_crash:        canopus / CanopusMsg => leader_crash_mid_round;
+    canopus_churn:               canopus / CanopusMsg => crash_restart_churn;
+    canopus_asymmetric_loss:     canopus / CanopusMsg => asymmetric_loss;
+    canopus_link_flapping:       canopus / CanopusMsg => link_flapping;
+    canopus_node_isolated:       canopus / CanopusMsg => node_isolated;
+    canopus_partition_crash_restart: canopus / CanopusMsg => partition_then_crash_restart;
 
-    canopus_batched_superleaf_partition:     chaos_canopus_batched4 / CanopusMsg => superleaf_partition;
-    canopus_batched_churn:                   chaos_canopus_batched4 / CanopusMsg => crash_restart_churn;
-    canopus_batched_partition_crash_restart: chaos_canopus_batched4 / CanopusMsg => partition_then_crash_restart;
+    canopus_batched_superleaf_partition:     canopus_batched4 / CanopusMsg => superleaf_partition;
+    canopus_batched_churn:                   canopus_batched4 / CanopusMsg => crash_restart_churn;
+    canopus_batched_partition_crash_restart: canopus_batched4 / CanopusMsg => partition_then_crash_restart;
 
-    raftkv_superleaf_partition:  chaos_raftkv / RaftKvMsg => superleaf_partition;
-    raftkv_majority_minority:    chaos_raftkv / RaftKvMsg => majority_minority_split;
-    raftkv_leader_crash:         chaos_raftkv / RaftKvMsg => leader_crash_mid_round;
-    raftkv_churn:                chaos_raftkv / RaftKvMsg => crash_restart_churn;
-    raftkv_asymmetric_loss:      chaos_raftkv / RaftKvMsg => asymmetric_loss;
-    raftkv_link_flapping:        chaos_raftkv / RaftKvMsg => link_flapping;
-    raftkv_node_isolated:        chaos_raftkv / RaftKvMsg => node_isolated;
+    raftkv_superleaf_partition:  raftkv / RaftKvMsg => superleaf_partition;
+    raftkv_majority_minority:    raftkv / RaftKvMsg => majority_minority_split;
+    raftkv_leader_crash:         raftkv / RaftKvMsg => leader_crash_mid_round;
+    raftkv_churn:                raftkv / RaftKvMsg => crash_restart_churn;
+    raftkv_asymmetric_loss:      raftkv / RaftKvMsg => asymmetric_loss;
+    raftkv_link_flapping:        raftkv / RaftKvMsg => link_flapping;
+    raftkv_node_isolated:        raftkv / RaftKvMsg => node_isolated;
 
-    epaxos_superleaf_partition:  chaos_epaxos / EpaxosMsg => superleaf_partition;
-    epaxos_majority_minority:    chaos_epaxos / EpaxosMsg => majority_minority_split;
-    epaxos_leader_crash:         chaos_epaxos / EpaxosMsg => leader_crash_mid_round;
-    epaxos_churn:                chaos_epaxos / EpaxosMsg => crash_restart_churn;
-    epaxos_asymmetric_loss:      chaos_epaxos / EpaxosMsg => asymmetric_loss;
-    epaxos_link_flapping:        chaos_epaxos / EpaxosMsg => link_flapping;
-    epaxos_node_isolated:        chaos_epaxos / EpaxosMsg => node_isolated;
+    epaxos_superleaf_partition:  epaxos / EpaxosMsg => superleaf_partition;
+    epaxos_majority_minority:    epaxos / EpaxosMsg => majority_minority_split;
+    epaxos_leader_crash:         epaxos / EpaxosMsg => leader_crash_mid_round;
+    epaxos_churn:                epaxos / EpaxosMsg => crash_restart_churn;
+    epaxos_asymmetric_loss:      epaxos / EpaxosMsg => asymmetric_loss;
+    epaxos_link_flapping:        epaxos / EpaxosMsg => link_flapping;
+    epaxos_node_isolated:        epaxos / EpaxosMsg => node_isolated;
 
-    zab_superleaf_partition:     chaos_zab / ZabMsg => superleaf_partition;
-    zab_majority_minority:       chaos_zab / ZabMsg => majority_minority_split;
-    zab_leader_crash:            chaos_zab / ZabMsg => leader_crash_mid_round;
-    zab_churn:                   chaos_zab / ZabMsg => crash_restart_churn;
-    zab_asymmetric_loss:         chaos_zab / ZabMsg => asymmetric_loss;
-    zab_link_flapping:           chaos_zab / ZabMsg => link_flapping;
-    zab_node_isolated:           chaos_zab / ZabMsg => node_isolated;
+    zab_superleaf_partition:     zab / ZabMsg => superleaf_partition;
+    zab_majority_minority:       zab / ZabMsg => majority_minority_split;
+    zab_leader_crash:            zab / ZabMsg => leader_crash_mid_round;
+    zab_churn:                   zab / ZabMsg => crash_restart_churn;
+    zab_asymmetric_loss:         zab / ZabMsg => asymmetric_loss;
+    zab_link_flapping:           zab / ZabMsg => link_flapping;
+    zab_node_isolated:           zab / ZabMsg => node_isolated;
 }
 
 // ---------------------------------------------------------------------
@@ -243,7 +279,8 @@ chaos_matrix! {
 fn determinism_same_plan_same_seed_identical_traces() {
     let run = |seed: u64| {
         let scenario = superleaf_partition();
-        let mut cluster = chaos_canopus(&spec(), &history_config(), seed);
+        let mut cluster =
+            chaos_cluster::<CanopusMsg>(canopus(), seed, ClusterObs::on(CHAOS_FLIGHT_CAP));
         cluster.sim.enable_trace_hash();
         let applied = cluster.apply_plan(&scenario.plan, timeline().run_for);
         let histories: Vec<Vec<String>> = cluster
@@ -288,7 +325,7 @@ fn determinism_same_plan_same_seed_identical_traces() {
 fn determinism_obs_enabled_matches_disabled() {
     let run = |obs: ClusterObs| {
         let scenario = superleaf_partition();
-        let mut cluster = chaos_canopus_with_obs(&spec(), &history_config(), 11, obs);
+        let mut cluster = chaos_cluster::<CanopusMsg>(canopus(), 11, obs);
         cluster.sim.enable_trace_hash();
         let applied = cluster.apply_plan(&scenario.plan, timeline().run_for);
         (
@@ -311,7 +348,8 @@ fn determinism_obs_enabled_matches_disabled() {
 fn determinism_crash_restart_raftkv() {
     let run = || {
         let scenario = crash_restart_churn();
-        let mut cluster = chaos_raftkv(&spec(), &history_config(), 11);
+        let mut cluster =
+            chaos_cluster::<RaftKvMsg>(raftkv(), 11, ClusterObs::on(CHAOS_FLIGHT_CAP));
         cluster.sim.enable_trace_hash();
         cluster.apply_plan(&scenario.plan, timeline().run_for);
         (

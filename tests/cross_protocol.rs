@@ -1,11 +1,11 @@
 //! Cross-crate integration tests: all three protocols driven through the
 //! harness on the topology-aware fabric.
 
-use canopus::CanopusNode;
-use canopus_epaxos::{EpaxosConfig, EpaxosNode};
+use canopus::{CanopusMsg, CanopusNode};
+use canopus_epaxos::{EpaxosConfig, EpaxosMsg, EpaxosNode};
 use canopus_harness::*;
 use canopus_sim::Dur;
-use canopus_zab::{ZabConfig, ZabNode};
+use canopus_zab::{ZabConfig, ZabMsg, ZabNode};
 
 fn small_load(rate: f64) -> LoadSpec {
     let mut load = LoadSpec::new(rate);
@@ -19,7 +19,13 @@ fn canopus_single_dc_serves_load_with_agreement() {
     let spec = DeploymentSpec::paper_single_dc(3);
     let load = small_load(30_000.0);
     let cfg = canopus_config_for(&spec);
-    let mut cluster = build_canopus(&spec, &load, cfg, 7);
+    let mut cluster = build_cluster::<CanopusMsg>(
+        &spec,
+        cfg,
+        7,
+        open_loop_clients(&load, 7),
+        ClusterObs::off(),
+    );
     cluster.sim.run_for(load.warmup + load.duration);
     // Everyone committed and digests agree.
     let d0 = cluster.sim.node::<CanopusNode>(cluster.nodes[0]).stats();
@@ -72,7 +78,13 @@ fn epaxos_cluster_converges_under_load() {
         batch_duration: Dur::millis(2),
         ..EpaxosConfig::default()
     };
-    let mut cluster = build_epaxos(&spec, &load, cfg, 9);
+    let mut cluster = build_cluster::<EpaxosMsg>(
+        &spec,
+        cfg,
+        9,
+        open_loop_clients(&load, 9),
+        ClusterObs::off(),
+    );
     cluster
         .sim
         .run_for(load.warmup + load.duration + Dur::millis(100));
@@ -90,7 +102,13 @@ fn zab_observers_scale_reads_leader_caps_writes() {
         participants: 6,
         ..ZabConfig::default()
     };
-    let mut cluster = build_zab(&spec, &load, cfg, 13);
+    let mut cluster = build_cluster::<ZabMsg>(
+        &spec,
+        cfg,
+        13,
+        open_loop_clients(&load, 13),
+        ClusterObs::off(),
+    );
     cluster
         .sim
         .run_for(load.warmup + load.duration + Dur::millis(200));

@@ -24,17 +24,17 @@
 //! partition and loss scenarios while ZAB and Raft KV cover
 //! crash/restart.
 
-use canopus::CanopusMsg;
+use canopus::{CanopusConfig, CanopusMsg};
 use canopus_harness::scenarios::{
     asymmetric_loss, leader_crash_mid_round, superleaf_partition, ChaosScenario,
 };
 use canopus_harness::{
-    live_chaos_canopus, live_chaos_canopus_batched, live_chaos_raftkv, live_chaos_zab,
-    live_history_config, live_timeline, live_topology, ChaosProtocol, ChaosTimeline, ChaosTopology,
-    HistoryConfig, LiveCluster, RaftKvMsg,
+    live_canopus_config, live_history_config, live_raftkv_config, live_time_unit, live_timeline,
+    live_topology, live_zab_config, ChaosProtocol, ChaosTimeline, ChaosTopology, LiveCluster,
+    RaftKvConfig, RaftKvMsg,
 };
 use canopus_net::Wire;
-use canopus_zab::ZabMsg;
+use canopus_zab::{ZabConfig, ZabMsg};
 
 fn seeds() -> Vec<u64> {
     let n = match std::env::var("LIVE_CHAOS_SEEDS").as_deref() {
@@ -49,15 +49,43 @@ fn seeds() -> Vec<u64> {
     (1..=n).map(|i| 0x11FE + i).collect()
 }
 
+/// Canopus with commit-log recording on, for the verdict.
+fn canopus() -> CanopusConfig {
+    CanopusConfig {
+        record_log: true,
+        ..live_canopus_config()
+    }
+}
+
+/// The throughput knobs over real sockets: an eighth-unit batching window
+/// (the same scale as the clients' gap between operations, so windows
+/// really do aggregate concurrent clients) and 4 cycles in flight.
+fn canopus_batched4() -> CanopusConfig {
+    CanopusConfig {
+        max_linger: live_time_unit() / 8,
+        max_pipeline_depth: 4,
+        ..canopus()
+    }
+}
+
+/// At most 5 quorum participants, the rest observers.
+fn zab() -> ZabConfig {
+    live_zab_config(live_topology().node_count().min(5))
+}
+
+fn raftkv() -> RaftKvConfig {
+    live_raftkv_config()
+}
+
 fn sweep<M: ChaosProtocol + Wire + Send>(
-    build: fn(&ChaosTopology, &HistoryConfig, u64) -> LiveCluster<M>,
+    cfg: fn() -> M::Config,
     scenario_fn: fn(&ChaosTopology, &ChaosTimeline) -> ChaosScenario,
 ) {
     let topo = live_topology();
     let t = live_timeline();
     for seed in seeds() {
         let scenario = scenario_fn(&topo, &t);
-        let mut cluster = build(&topo, &live_history_config(), seed);
+        let mut cluster = LiveCluster::<M>::spawn(&topo, cfg(), &live_history_config(), seed);
         let applied = cluster.run_plan(&scenario.plan, t.run_for);
         assert!(
             !applied.is_empty(),
@@ -94,12 +122,12 @@ fn sweep<M: ChaosProtocol + Wire + Send>(
 
 #[test]
 fn live_canopus_superleaf_partition() {
-    sweep::<CanopusMsg>(live_chaos_canopus, superleaf_partition);
+    sweep::<CanopusMsg>(canopus, superleaf_partition);
 }
 
 #[test]
 fn live_canopus_asymmetric_loss() {
-    sweep::<CanopusMsg>(live_chaos_canopus, asymmetric_loss);
+    sweep::<CanopusMsg>(canopus, asymmetric_loss);
 }
 
 /// The throughput knobs (batching window + 4-deep pipelining) over real
@@ -107,28 +135,25 @@ fn live_canopus_asymmetric_loss() {
 /// the default configuration above.
 #[test]
 fn live_canopus_batched_superleaf_partition() {
-    fn build(topo: &ChaosTopology, hcfg: &HistoryConfig, seed: u64) -> LiveCluster<CanopusMsg> {
-        live_chaos_canopus_batched(topo, hcfg, seed, 4)
-    }
-    sweep::<CanopusMsg>(build, superleaf_partition);
+    sweep::<CanopusMsg>(canopus_batched4, superleaf_partition);
 }
 
 #[test]
 fn live_zab_superleaf_partition() {
-    sweep::<ZabMsg>(live_chaos_zab, superleaf_partition);
+    sweep::<ZabMsg>(zab, superleaf_partition);
 }
 
 #[test]
 fn live_zab_leader_crash_restart() {
-    sweep::<ZabMsg>(live_chaos_zab, leader_crash_mid_round);
+    sweep::<ZabMsg>(zab, leader_crash_mid_round);
 }
 
 #[test]
 fn live_zab_asymmetric_loss() {
-    sweep::<ZabMsg>(live_chaos_zab, asymmetric_loss);
+    sweep::<ZabMsg>(zab, asymmetric_loss);
 }
 
 #[test]
 fn live_raftkv_leader_crash_restart() {
-    sweep::<RaftKvMsg>(live_chaos_raftkv, leader_crash_mid_round);
+    sweep::<RaftKvMsg>(raftkv, leader_crash_mid_round);
 }

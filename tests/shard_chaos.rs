@@ -1,7 +1,7 @@
 //! Chaos suite for the shard-parallel engine: every node hosts four
-//! independent LOT pipelines behind a `ShardEngine`, and the sharded
-//! verdict adds per-shard agreement, key→shard routing stability, and
-//! cross-shard transaction atomicity on top of the base §6 checks.
+//! independent LOT pipelines behind a `ShardEngine`, and the verdict's
+//! sharding checks add per-shard agreement, key→shard routing stability,
+//! and cross-shard transaction atomicity on top of the base §6 checks.
 //!
 //! The suite also carries the single-shard anchor tests: a 1-shard
 //! engine must reproduce a pinned trace hash (catalog v2) so future
@@ -10,14 +10,17 @@
 
 use std::collections::BTreeSet;
 
-use canopus::{ShardEngine, ShardMsg};
+use std::any::Any;
+
+use canopus::{CanopusConfig, CanopusMsg, ShardEngine, ShardMsg};
 use canopus_harness::{
-    chaos_canopus, chaos_sharded_canopus, chaos_verdict, chaos_verdict_sharded,
-    cross_shard_atomicity_partition as cross_shard_atomicity_partition_in,
-    hot_shard_skew as hot_shard_skew_in, ChaosReport, ChaosScenario, ChaosTimeline, ChaosTopology,
-    Cluster, DeploymentSpec, HistoryConfig,
+    build_cluster, canopus_config_for, chaos_verdict, chaos_verdict_parts,
+    cross_shard_atomicity_partition as cross_shard_atomicity_partition_in, history_clients,
+    hot_shard_skew as hot_shard_skew_in, ChaosProtocol, ChaosReport, ChaosScenario, ChaosTimeline,
+    ChaosTopology, Cluster, ClusterObs, DeploymentSpec, HistoryConfig, ShardedConfig,
+    CHAOS_FLIGHT_CAP,
 };
-use canopus_sim::NodeId;
+use canopus_sim::{Dur, NodeId};
 
 const SHARDS: u16 = 4;
 
@@ -69,15 +72,42 @@ fn seeds() -> Vec<u64> {
     (1..=n).map(|i| 0x5A4D + i).collect()
 }
 
+/// Canopus with commit-log recording on, for the verdict.
+fn canopus() -> CanopusConfig {
+    CanopusConfig {
+        record_log: true,
+        ..canopus_config_for(&spec())
+    }
+}
+
+/// A history-driven cluster of `M` with flight recorders on.
+fn chaos_cluster<M: ChaosProtocol>(cfg: M::Config, hcfg: &HistoryConfig, seed: u64) -> Cluster<M> {
+    build_cluster(
+        &spec(),
+        cfg,
+        seed,
+        history_clients(hcfg),
+        ClusterObs::on(CHAOS_FLIGHT_CAP),
+    )
+}
+
+fn sharded_cluster(hcfg: &HistoryConfig, seed: u64, shards: u16) -> Cluster<ShardMsg> {
+    let cfg = ShardedConfig {
+        canopus: canopus(),
+        shards,
+    };
+    chaos_cluster(cfg, hcfg, seed)
+}
+
 fn run_one(
     hcfg: &HistoryConfig,
     scenario: &ChaosScenario,
     seed: u64,
     shards: u16,
 ) -> (ChaosReport, Cluster<ShardMsg>) {
-    let mut cluster = chaos_sharded_canopus(&spec(), hcfg, seed, shards);
+    let mut cluster = sharded_cluster(hcfg, seed, shards);
     cluster.apply_plan(&scenario.plan, timeline().run_for);
-    let report = chaos_verdict_sharded(
+    let report = chaos_verdict(
         &cluster,
         timeline().converge_after(),
         &(scenario.exempt)("canopus"),
@@ -178,7 +208,7 @@ fn cross_shard_txns_flow_under_partition() {
 // ---------------------------------------------------------------------
 
 /// After a crash-restart churn, EVERY node — including the restarted one,
-/// which rebuilt its engine from the restart factory — must file each
+/// which rebuilt its engine through the restart policy — must file each
 /// committed key under the shard the router maps it to. A router that
 /// drifted across restart would split a key's history between pipelines.
 #[test]
@@ -227,10 +257,10 @@ fn key_to_shard_stable_across_restart() {
 
 fn traced_run(hcfg: &HistoryConfig, seed: u64, shards: u16) -> (u64, u64) {
     let scenario = canopus_harness::scenarios::superleaf_partition(&topo(), &timeline());
-    let mut cluster = chaos_sharded_canopus(&spec(), hcfg, seed, shards);
+    let mut cluster = sharded_cluster(hcfg, seed, shards);
     cluster.sim.enable_trace_hash();
     cluster.apply_plan(&scenario.plan, timeline().run_for);
-    let report = chaos_verdict_sharded(
+    let report = chaos_verdict(
         &cluster,
         timeline().converge_after(),
         &(scenario.exempt)("canopus"),
@@ -278,7 +308,7 @@ fn single_shard_matches_plain_semantics() {
     let seed = 0x5A4D + 3;
     let scenario = canopus_harness::scenarios::superleaf_partition(&topo(), &timeline());
 
-    let mut plain = chaos_canopus(&spec(), &history_config(), seed);
+    let mut plain = chaos_cluster::<CanopusMsg>(canopus(), &history_config(), seed);
     plain.apply_plan(&scenario.plan, timeline().run_for);
     let plain_report = chaos_verdict(
         &plain,
@@ -312,6 +342,41 @@ fn sharded_verdict_handles_exemptions() {
     let scenario = canopus_harness::scenarios::superleaf_partition(&topo(), &timeline());
     let (_, cluster) = run_one(&history_config(), &scenario, 0x5A4D + 4, SHARDS);
     let all: BTreeSet<NodeId> = (0..spec().node_count() as u32).map(NodeId).collect();
-    let report = chaos_verdict_sharded(&cluster, timeline().converge_after(), &all);
+    let report = chaos_verdict(&cluster, timeline().converge_after(), &all);
     assert!(report.ok(), "violations: {:#?}", report.violations);
+}
+
+/// The sharding checks live in the protocol's verdict hook, so every
+/// verdict entry point runs them — including the cluster-agnostic core
+/// the live TCP suite goes through. Engines whose routers disagree (one
+/// node on 4 shards, one on 2) must be reported, not silently merged.
+#[test]
+fn verdict_core_runs_shard_checks() {
+    let hcfg = HistoryConfig {
+        stop_at: canopus_sim::Time::ZERO + Dur::millis(300),
+        ..history_config()
+    };
+    let mut four = sharded_cluster(&hcfg, 0x5A4D + 5, 4);
+    let mut two = sharded_cluster(&hcfg, 0x5A4D + 5, 2);
+    four.sim.run_for(Dur::millis(400));
+    two.sim.run_for(Dur::millis(400));
+    let trusted: Vec<(NodeId, &dyn Any)> = vec![
+        (NodeId(0), four.sim.node_any(NodeId(0))),
+        (NodeId(1), two.sim.node_any(NodeId(0))),
+    ];
+    let report = chaos_verdict_parts::<ShardMsg>(
+        &trusted,
+        &[],
+        timeline().converge_after(),
+        &BTreeSet::new(),
+        false,
+    );
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.contains("routes to shard")),
+        "mixed shard counts must fail routing stability: {:#?}",
+        report.violations
+    );
 }
