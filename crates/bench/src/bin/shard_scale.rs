@@ -19,11 +19,11 @@
 //!   cargo run --release -p canopus-bench --bin shard_scale -- \
 //!       [--out BENCH_canopus.json] [--check BENCH_canopus.json]
 
-use canopus::{CanopusConfig, ShardEngine, ShardMsg};
+use canopus::{ShardEngine, ShardMsg};
+use canopus_bench::batched;
 use canopus_bench::json::{extract_number, splice_section, JsonObject};
 use canopus_harness::{
-    build_cluster, canopus_config_for, fmt_rate, open_loop_clients, ClusterObs, DeploymentSpec,
-    LoadSpec, ShardedConfig,
+    build_cluster, fmt_rate, open_loop_clients, ClusterObs, DeploymentSpec, LoadSpec, ShardedConfig,
 };
 use canopus_sim::Dur;
 
@@ -42,14 +42,6 @@ const OFFERED_RATE: f64 = 16_000_000.0;
 const SKEW_THETA: f64 = 0.99;
 
 const BENCH_FLIGHT_CAP: usize = 64;
-
-fn batched(spec: &DeploymentSpec) -> (CanopusConfig, u32) {
-    let mut cfg = canopus_config_for(spec);
-    cfg.max_batch = 1000;
-    cfg.max_linger = Dur::millis(1);
-    cfg.max_pipeline_depth = 4;
-    (cfg, 1000)
-}
 
 struct ShardMeasured {
     /// Node 0's committed weight per second, summed over all shards.

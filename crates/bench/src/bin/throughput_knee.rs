@@ -25,6 +25,7 @@
 //!   BENCH_SWEEP=smoke|full   (default full; smoke skips the knee sweep)
 
 use canopus::{CanopusConfig, CanopusMsg, CanopusNode};
+use canopus_bench::batched;
 use canopus_bench::json::{escape, extract_number, number, JsonObject};
 use canopus_harness::run::collect;
 use canopus_harness::{
@@ -143,21 +144,14 @@ fn metrics_json(snap: &Snapshot) -> String {
     format!("{{{}}}", parts.join(","))
 }
 
-/// The two compared configurations, as (node config, client batch cap).
+/// The unbatched baseline, as (node config, client batch cap); the other
+/// side of the comparison is [`batched`].
 fn unbatched(spec: &DeploymentSpec) -> (CanopusConfig, u32) {
     let mut cfg = canopus_config_for(spec);
     cfg.max_batch = 1;
     cfg.max_linger = Dur::ZERO;
     cfg.max_pipeline_depth = 1;
     (cfg, 1)
-}
-
-fn batched(spec: &DeploymentSpec) -> (CanopusConfig, u32) {
-    let mut cfg = canopus_config_for(spec);
-    cfg.max_batch = 1000;
-    cfg.max_linger = Dur::millis(1);
-    cfg.max_pipeline_depth = 4;
-    (cfg, 1000)
 }
 
 /// Geometric ladder to the knee, keeping the node-side rates.

@@ -133,17 +133,4 @@ impl CanopusConfig {
             ..Self::default()
         }
     }
-
-    /// Throughput-tuned self-clocked configuration: super-leaf batching
-    /// (1 ms linger, 1000-request overflow) plus cross-round pipelining
-    /// (`depth` cycles in flight). `depth` must be ≥ 1. This is the
-    /// configuration the `throughput_knee` bench and the batched chaos
-    /// scenarios exercise; every other knob keeps its default.
-    pub fn batched_pipelined(depth: u64) -> Self {
-        CanopusConfig {
-            max_linger: Dur::millis(1),
-            max_pipeline_depth: depth.max(1),
-            ..Self::default()
-        }
-    }
 }

@@ -260,7 +260,6 @@ where
             max_batch: load.client_max_batch,
             shards: load.shards,
             shard_theta: load.shard_theta,
-            ..OpenLoopConfig::default()
         };
         Box::new(OpenLoopClient::<M>::new(
             target,

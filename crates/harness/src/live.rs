@@ -345,7 +345,16 @@ impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
             };
             self.sleep_until(target);
             while let Some((at, action)) = sched.pop_due(self.now()) {
-                self.apply(at, action, &mut sched);
+                match &action {
+                    FaultAction::Crash(n) => {
+                        if self.crash(*n) {
+                            self.ever_crashed.insert(*n);
+                        }
+                    }
+                    FaultAction::Restart(n) => self.restart(*n),
+                    net => self.apply(net),
+                }
+                sched.record(at, action);
             }
         }
         self.sleep_until(end);
@@ -359,24 +368,6 @@ impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
                 at.saturating_since(now).as_nanos(),
             ));
         }
-    }
-
-    fn apply(&mut self, at: Time, action: FaultAction, sched: &mut NemesisSchedule) {
-        match &action {
-            FaultAction::Cut(a, b) => self.nemesis_cut_groups(a, b),
-            FaultAction::Heal(a, b) => self.nemesis_heal_groups(a, b),
-            FaultAction::HealAll => self.nemesis_heal_all(),
-            FaultAction::SetLoss(p) => self.nemesis_set_loss(*p),
-            FaultAction::SetNodeOutLoss(n, p) => self.nemesis_set_node_out_loss(*n, *p),
-            FaultAction::Isolate(n) => self.nemesis_isolate(*n),
-            FaultAction::Crash(n) => {
-                if self.crash(*n) {
-                    self.ever_crashed.insert(*n);
-                }
-            }
-            FaultAction::Restart(n) => self.restart(*n),
-        }
-        sched.record(at, action);
     }
 
     /// Crash-stops a live node: peers start dropping its traffic, then its
@@ -466,23 +457,16 @@ impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
 /// Network fault actions map straight onto the shared [`FaultRules`]
 /// table — the live counterpart of the simulator fabric's implementation.
 impl<M: ChaosProtocol + Wire + Send> NemesisFabric for LiveCluster<M> {
-    fn nemesis_cut_groups(&mut self, a: &[NodeId], b: &[NodeId]) {
-        self.rules.cut_groups(a, b);
-    }
-    fn nemesis_heal_groups(&mut self, a: &[NodeId], b: &[NodeId]) {
-        self.rules.heal_groups(a, b);
-    }
-    fn nemesis_heal_all(&mut self) {
-        self.rules.heal_all();
-    }
-    fn nemesis_set_loss(&mut self, loss: f64) {
-        self.rules.set_loss(loss);
-    }
-    fn nemesis_set_node_out_loss(&mut self, node: NodeId, loss: f64) {
-        self.rules.set_out_loss(node, loss);
-    }
-    fn nemesis_isolate(&mut self, node: NodeId) {
-        self.rules.isolate(node);
+    fn apply(&mut self, action: &FaultAction) {
+        match action {
+            FaultAction::Cut(a, b) => self.rules.cut_groups(a, b),
+            FaultAction::Heal(a, b) => self.rules.heal_groups(a, b),
+            FaultAction::HealAll => self.rules.heal_all(),
+            FaultAction::SetLoss(p) => self.rules.set_loss(*p),
+            FaultAction::SetNodeOutLoss(n, p) => self.rules.set_out_loss(*n, *p),
+            FaultAction::Isolate(n) => self.rules.isolate(*n),
+            FaultAction::Crash(_) | FaultAction::Restart(_) => {}
+        }
     }
 }
 

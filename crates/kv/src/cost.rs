@@ -30,8 +30,8 @@ pub struct CostModel {
     /// Marginal cost per logical op represented inside an aggregate. A
     /// synthetic batch decodes in O(1) (two integers), so the marginal
     /// cost is reply/latency accounting, not parsing — an order of
-    /// magnitude below `per_request` (see `benches/micro.rs`,
-    /// `ingest_amortization`).
+    /// magnitude below `per_request` (the `micro` bench in
+    /// `canopus-bench` measures the real codec's split).
     pub per_batched_op: Dur,
 }
 

@@ -39,7 +39,6 @@ pub fn bucket_bounds(b: usize) -> (u64, u64) {
 #[derive(Debug)]
 struct HistogramCells {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
 }
 
@@ -47,7 +46,6 @@ impl HistogramCells {
     fn new() -> Self {
         HistogramCells {
             buckets: [(); HISTOGRAM_BUCKETS].map(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
@@ -133,25 +131,27 @@ impl Histogram {
     pub fn observe(&self, v: u64) {
         if let Some(h) = &self.0 {
             h.buckets[bucket_index(v)].fetch_add(1, Relaxed);
-            h.count.fetch_add(1, Relaxed);
             h.sum.fetch_add(v, Relaxed);
         }
     }
 
     /// Point-in-time copy of the cells (empty snapshot for a no-op).
+    /// `count` is the sum of the bucket values loaded, so it always
+    /// agrees with `buckets`.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        match &self.0 {
-            None => HistogramSnapshot::default(),
-            Some(h) => HistogramSnapshot {
-                count: h.count.load(Relaxed),
-                sum: h.sum.load(Relaxed),
-                buckets: (0..HISTOGRAM_BUCKETS)
-                    .filter_map(|b| {
-                        let n = h.buckets[b].load(Relaxed);
-                        (n > 0).then_some((b, n))
-                    })
-                    .collect(),
-            },
+        let Some(h) = &self.0 else {
+            return HistogramSnapshot::default();
+        };
+        let buckets: Vec<(usize, u64)> = (0..HISTOGRAM_BUCKETS)
+            .filter_map(|b| {
+                let n = h.buckets[b].load(Relaxed);
+                (n > 0).then_some((b, n))
+            })
+            .collect();
+        HistogramSnapshot {
+            count: buckets.iter().map(|&(_, n)| n).sum(),
+            sum: h.sum.load(Relaxed),
+            buckets,
         }
     }
 }
@@ -260,10 +260,10 @@ impl Registry {
 
     /// Point-in-time copy of every registered metric, names sorted.
     ///
-    /// Concurrent writers may land between individual cell reads — each
-    /// cell is internally consistent (a histogram's buckets may briefly
-    /// disagree with its `count` by in-flight samples), and a quiesced
-    /// registry snapshots exactly.
+    /// Concurrent writers may land between individual cell reads, so a
+    /// histogram's `sum` may briefly disagree with its buckets by
+    /// in-flight samples; its `count` is always the sum of its buckets,
+    /// and a quiesced registry snapshots exactly.
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::default();
         let Some(inner) = &self.0 else {

@@ -226,43 +226,30 @@ impl FaultPlan {
     }
 }
 
-/// Fabric operations the nemesis needs. Implemented by the canonical
+/// The network half of the nemesis: a fabric that can apply every
+/// [`FaultAction`] except `Crash` and `Restart`, which act on nodes and are
+/// left to the driver. Implemented by the canonical
 /// [`PartitionableFabric`]`<`[`LossyFabric`]`<F>>` composition over any
 /// inner fabric.
 pub trait NemesisFabric {
-    /// Cut the `a` × `b` cross product of links.
-    fn nemesis_cut_groups(&mut self, a: &[NodeId], b: &[NodeId]);
-    /// Heal the `a` × `b` cross product of links.
-    fn nemesis_heal_groups(&mut self, a: &[NodeId], b: &[NodeId]);
-    /// Remove every partition and isolation, and zero all loss.
-    fn nemesis_heal_all(&mut self);
-    /// Set the global loss probability.
-    fn nemesis_set_loss(&mut self, loss: f64);
-    /// Set one node's outbound loss probability.
-    fn nemesis_set_node_out_loss(&mut self, node: NodeId, loss: f64);
-    /// Isolate a node from everyone.
-    fn nemesis_isolate(&mut self, node: NodeId);
+    /// Applies a network action; `Crash` and `Restart` are ignored.
+    fn apply(&mut self, action: &FaultAction);
 }
 
 impl<F> NemesisFabric for PartitionableFabric<LossyFabric<F>> {
-    fn nemesis_cut_groups(&mut self, a: &[NodeId], b: &[NodeId]) {
-        self.cut_groups(a, b);
-    }
-    fn nemesis_heal_groups(&mut self, a: &[NodeId], b: &[NodeId]) {
-        self.heal_groups(a, b);
-    }
-    fn nemesis_heal_all(&mut self) {
-        self.heal_all();
-        self.inner_mut().clear_loss();
-    }
-    fn nemesis_set_loss(&mut self, loss: f64) {
-        self.inner_mut().set_loss(loss);
-    }
-    fn nemesis_set_node_out_loss(&mut self, node: NodeId, loss: f64) {
-        self.inner_mut().set_out_loss(node, loss);
-    }
-    fn nemesis_isolate(&mut self, node: NodeId) {
-        self.isolate(node);
+    fn apply(&mut self, action: &FaultAction) {
+        match action {
+            FaultAction::Cut(a, b) => self.cut_groups(a, b),
+            FaultAction::Heal(a, b) => self.heal_groups(a, b),
+            FaultAction::HealAll => {
+                self.heal_all();
+                self.inner_mut().clear_loss();
+            }
+            FaultAction::SetLoss(p) => self.inner_mut().set_loss(*p),
+            FaultAction::SetNodeOutLoss(n, p) => self.inner_mut().set_out_loss(*n, *p),
+            FaultAction::Isolate(n) => self.isolate(*n),
+            FaultAction::Crash(_) | FaultAction::Restart(_) => {}
+        }
     }
 }
 
@@ -390,14 +377,6 @@ impl NemesisDriver {
         F: Fabric<M> + NemesisFabric,
     {
         match &action {
-            FaultAction::Cut(a, b) => sim.fabric_mut().nemesis_cut_groups(a, b),
-            FaultAction::Heal(a, b) => sim.fabric_mut().nemesis_heal_groups(a, b),
-            FaultAction::HealAll => sim.fabric_mut().nemesis_heal_all(),
-            FaultAction::SetLoss(p) => sim.fabric_mut().nemesis_set_loss(*p),
-            FaultAction::SetNodeOutLoss(n, p) => {
-                sim.fabric_mut().nemesis_set_node_out_loss(*n, *p);
-            }
-            FaultAction::Isolate(n) => sim.fabric_mut().nemesis_isolate(*n),
             FaultAction::Crash(n) => {
                 if sim.is_alive(*n) {
                     sim.crash(*n);
@@ -410,6 +389,7 @@ impl NemesisDriver {
                     sim.restart(*n, restart(*n, old));
                 }
             }
+            net => sim.fabric_mut().apply(net),
         }
         self.sched.record(at, action);
     }

@@ -83,26 +83,12 @@ impl ProtocolMsg for ZabMsg {
     }
 }
 
-/// A cheap, callable check for transport saturation, polled by clients
-/// once per tick. A live deployment wires this to the TCP transport's
-/// `SendGate` (`canopus_net::SendGate::is_saturated`); simulated runs
-/// leave it unset. The indirection keeps this crate free of any
-/// transport dependency.
+/// A cheap, callable check for transport saturation, polled by
+/// [`crate::SessionMux`] once per tick. A live deployment wires this to
+/// the TCP transport's `SendGate` (`canopus_net::SendGate::is_saturated`);
+/// simulated runs leave it unset. The indirection keeps this crate free of
+/// any transport dependency.
 pub type PressureProbe = Arc<dyn Fn() -> bool + Send + Sync>;
-
-/// What an open-loop client does with a tick's arrivals while the
-/// transport reports backpressure.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum PressurePolicy {
-    /// Drop the arrivals (counted in `shed`). This preserves the open-loop
-    /// contract — offered load is independent of the system — and models
-    /// clients whose requests die in a full kernel buffer.
-    Shed,
-    /// Carry the arrivals forward and issue them once pressure clears
-    /// (counted in `deferred`). Offered totals are preserved; the burst on
-    /// release models queued-up clients draining.
-    Defer,
-}
 
 /// Open-loop workload parameters.
 #[derive(Clone, Debug)]
@@ -125,9 +111,6 @@ pub struct OpenLoopConfig {
     /// models one request per client op, the unbatched baseline the
     /// `throughput_knee` bench measures against.
     pub max_batch: u32,
-    /// Reaction to transport backpressure, consulted only when a
-    /// [`PressureProbe`] is installed ([`OpenLoopClient::with_pressure`]).
-    pub on_pressure: PressurePolicy,
     /// Key-space shards the synthetic stream is spread across. With the
     /// default `1` the client behaves exactly as before sharding existed
     /// (same RNG stream, same wire traffic). Above 1, each tick's
@@ -152,7 +135,6 @@ impl Default for OpenLoopConfig {
             op_bytes: 16,
             warmup: Dur::millis(200),
             max_batch: 0,
-            on_pressure: PressurePolicy::Shed,
             shards: 1,
             shard_theta: None,
         }
@@ -172,15 +154,6 @@ pub struct OpenLoopClient<M: ProtocolMsg> {
     pub reads: LatencyRecorder,
     /// Requests issued (weighted), including warmup.
     pub offered: u64,
-    /// Requests dropped because the transport was saturated
-    /// ([`PressurePolicy::Shed`]).
-    pub shed: u64,
-    /// Requests carried across at least one saturated tick
-    /// ([`PressurePolicy::Defer`]).
-    pub deferred: u64,
-    probe: Option<PressureProbe>,
-    carry_writes: u64,
-    carry_reads: u64,
     /// Pseudo client id per shard (empty when `cfg.shards <= 1`),
     /// resolved lazily on start from the process's real id.
     shard_ids: Vec<NodeId>,
@@ -201,26 +174,10 @@ impl<M: ProtocolMsg> OpenLoopClient<M> {
             writes: LatencyRecorder::default(),
             reads: LatencyRecorder::default(),
             offered: 0,
-            shed: 0,
-            deferred: 0,
-            probe: None,
-            carry_writes: 0,
-            carry_reads: 0,
             shard_ids: Vec::new(),
             shard_cdf: Vec::new(),
             _marker: std::marker::PhantomData,
         }
-    }
-
-    /// Installs a backpressure probe: each tick whose probe reports
-    /// saturation has its arrivals shed or deferred per
-    /// [`OpenLoopConfig::on_pressure`] instead of being queued blindly
-    /// into a transport that cannot drain them. The Poisson draws still
-    /// happen on saturated ticks, so installing a probe never perturbs
-    /// the RNG stream of an unsaturated run.
-    pub fn with_pressure(mut self, probe: PressureProbe) -> Self {
-        self.probe = Some(probe);
-        self
     }
 
     /// Write + read recorders merged (total completion view).
@@ -368,21 +325,7 @@ impl<M: ProtocolMsg + 'static> Process<M> for OpenLoopClient<M> {
         let read_mean = self.cfg.rate_per_sec * (1.0 - self.cfg.write_ratio) * dt;
         let nw = poisson(&mut self.rng, write_mean);
         let nr = poisson(&mut self.rng, read_mean);
-        let saturated = self.probe.as_ref().is_some_and(|p| p());
-        if saturated {
-            match self.cfg.on_pressure {
-                PressurePolicy::Shed => self.shed += nw + nr,
-                PressurePolicy::Defer => {
-                    self.deferred += nw + nr;
-                    self.carry_writes += nw;
-                    self.carry_reads += nr;
-                }
-            }
-        } else {
-            let nw = nw + std::mem::take(&mut self.carry_writes);
-            let nr = nr + std::mem::take(&mut self.carry_reads);
-            self.issue_tick(nw, nr, ctx);
-        }
+        self.issue_tick(nw, nr, ctx);
         ctx.set_timer(self.cfg.tick, 0);
     }
 
@@ -678,73 +621,6 @@ mod tests {
         for pair in client.reply_order.windows(2) {
             assert!(pair[0].0 < pair[1].0);
         }
-    }
-
-    #[test]
-    fn open_loop_sheds_while_saturated() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let (mut sim, _) = canopus_pair(5);
-        let pressed = Arc::new(AtomicBool::new(true));
-        let flag = Arc::clone(&pressed);
-        let cfg = OpenLoopConfig {
-            rate_per_sec: 20_000.0,
-            warmup: Dur::ZERO,
-            ..Default::default()
-        };
-        let client = OpenLoopClient::<CanopusMsg>::new(NodeId(0), cfg, 9)
-            .with_pressure(Arc::new(move || flag.load(Ordering::Relaxed)));
-        let c = sim.add_node(Box::new(client));
-        sim.run_for(Dur::millis(100));
-        {
-            let client = sim.node::<OpenLoopClient<CanopusMsg>>(c);
-            assert_eq!(client.offered, 0, "saturated ticks issue nothing");
-            assert!(client.shed > 1000, "arrivals were shed: {}", client.shed);
-        }
-        pressed.store(false, Ordering::Relaxed);
-        sim.run_for(Dur::millis(200));
-        let client = sim.node::<OpenLoopClient<CanopusMsg>>(c);
-        // Shed arrivals are gone for good; fresh ticks flow normally.
-        assert!(client.offered > 1000, "load resumed: {}", client.offered);
-        assert!(client.total().completed() > 0);
-    }
-
-    #[test]
-    fn open_loop_defers_and_drains_on_release() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let (mut sim, _) = canopus_pair(6);
-        let pressed = Arc::new(AtomicBool::new(true));
-        let flag = Arc::clone(&pressed);
-        let cfg = OpenLoopConfig {
-            rate_per_sec: 20_000.0,
-            warmup: Dur::ZERO,
-            on_pressure: PressurePolicy::Defer,
-            ..Default::default()
-        };
-        let client = OpenLoopClient::<CanopusMsg>::new(NodeId(0), cfg, 9)
-            .with_pressure(Arc::new(move || flag.load(Ordering::Relaxed)));
-        let c = sim.add_node(Box::new(client));
-        sim.run_for(Dur::millis(100));
-        let held = {
-            let client = sim.node::<OpenLoopClient<CanopusMsg>>(c);
-            assert_eq!(client.offered, 0, "saturated ticks issue nothing");
-            assert!(
-                client.deferred > 1000,
-                "arrivals carried: {}",
-                client.deferred
-            );
-            client.deferred
-        };
-        pressed.store(false, Ordering::Relaxed);
-        sim.run_for(Dur::millis(200));
-        let client = sim.node::<OpenLoopClient<CanopusMsg>>(c);
-        // Everything carried through the saturated window was issued.
-        assert!(
-            client.offered >= held,
-            "carried arrivals drained: {} offered vs {} deferred",
-            client.offered,
-            client.deferred
-        );
-        assert!(client.total().completed() > 0);
     }
 
     #[test]

@@ -19,8 +19,7 @@ pub mod latency;
 pub mod sessions;
 
 pub use client::{
-    ClosedLoopClient, ClosedLoopConfig, OpenLoopClient, OpenLoopConfig, PressurePolicy,
-    PressureProbe, ProtocolMsg,
+    ClosedLoopClient, ClosedLoopConfig, OpenLoopClient, OpenLoopConfig, PressureProbe, ProtocolMsg,
 };
 pub use dist::{poisson, KeyDist};
 pub use latency::LatencyRecorder;

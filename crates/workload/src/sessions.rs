@@ -10,8 +10,7 @@
 //! reply is routed back by op id alone — session `s` issues ops
 //! `((s + 1) << 32) | seq`, so the wire carries no extra routing state.
 //!
-//! Backpressure-awareness matches [`crate::client::OpenLoopClient`]: an
-//! installed [`PressureProbe`] defers due issues tick by tick while the
+//! An installed [`PressureProbe`] defers due issues tick by tick while the
 //! transport is saturated, so a slow consensus core degrades session
 //! latency instead of growing an unbounded send queue.
 
