@@ -16,11 +16,14 @@ use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable view into reference-counted bytes.
+///
+/// The view's bounds are `u32`, which keeps a `Bytes` at 24 bytes: a
+/// buffer is at most `u32::MAX` bytes long (see `From<Vec<u8>>`).
 #[derive(Clone)]
 pub struct Bytes {
     data: Arc<[u8]>,
-    start: usize,
-    end: usize,
+    start: u32,
+    end: u32,
 }
 
 impl Bytes {
@@ -41,7 +44,12 @@ impl Bytes {
     }
 
     fn from_vec(vec: Vec<u8>) -> Bytes {
-        let end = vec.len();
+        let end = u32::try_from(vec.len()).unwrap_or_else(|_| {
+            panic!(
+                "Bytes holds at most u32::MAX bytes; got a buffer of {}",
+                vec.len()
+            )
+        });
         Bytes {
             data: Arc::from(vec),
             start: 0,
@@ -51,7 +59,7 @@ impl Bytes {
 
     /// Number of bytes in the view.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 
     /// Whether the view is empty.
@@ -60,7 +68,7 @@ impl Bytes {
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        &self.data[self.start as usize..self.end as usize]
     }
 
     /// A zero-copy sub-view. Panics if the range is out of bounds.
@@ -77,10 +85,11 @@ impl Bytes {
             Bound::Unbounded => len,
         };
         assert!(begin <= end && end <= len, "slice out of bounds");
+        // In bounds, so both fit the `u32` the buffer's length fits.
         Bytes {
             data: Arc::clone(&self.data),
-            start: self.start + begin,
-            end: self.start + end,
+            start: self.start + begin as u32,
+            end: self.start + end as u32,
         }
     }
 
@@ -88,12 +97,13 @@ impl Bytes {
     /// them. Panics if `at > self.len()`.
     pub fn split_to(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len(), "split_to out of bounds");
+        let mid = self.start + at as u32;
         let head = Bytes {
             data: Arc::clone(&self.data),
             start: self.start,
-            end: self.start + at,
+            end: mid,
         };
-        self.start += at;
+        self.start = mid;
         head
     }
 
@@ -128,6 +138,12 @@ impl Borrow<[u8]> for Bytes {
     }
 }
 
+/// Takes ownership of the vector's bytes.
+///
+/// # Panics
+///
+/// If `vec` is longer than `u32::MAX` bytes. Wire frames are far smaller
+/// (the transport caps them at 16 MiB).
 impl From<Vec<u8>> for Bytes {
     fn from(vec: Vec<u8>) -> Bytes {
         Bytes::from_vec(vec)
@@ -284,6 +300,8 @@ pub trait Buf {
     fn chunk(&self) -> &[u8];
     /// Skips `cnt` bytes.
     fn advance(&mut self, cnt: usize);
+    /// Takes the next `len` bytes as a [`Bytes`] (zero-copy for `Bytes`).
+    fn copy_to_bytes(&mut self, len: usize) -> Bytes;
 
     /// Whether any bytes remain.
     fn has_remaining(&self) -> bool {
@@ -337,7 +355,10 @@ impl Buf for Bytes {
     }
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "advance out of bounds");
-        self.start += cnt;
+        self.start += cnt as u32;
+    }
+    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
+        self.split_to(len)
     }
 }
 
@@ -408,6 +429,42 @@ mod tests {
         assert_eq!(b.get_u32_le(), 0xDEADBEEF);
         assert_eq!(b.get_u64_le(), u64::MAX);
         assert_eq!(&b[..], b"xy");
+    }
+
+    #[test]
+    fn view_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Bytes>(), 24);
+    }
+
+    /// The `u32` bounds near the end of a frame-sized (16 MiB) buffer.
+    #[test]
+    fn views_near_the_end_of_a_16_mib_buffer() {
+        const N: usize = 16 << 20;
+        let whole = Bytes::from((0..N).map(|i| (i % 251) as u8).collect::<Vec<_>>());
+        let at = |i: usize| (i % 251) as u8;
+
+        let tail = whole.slice(N - 10..);
+        assert_eq!(tail.len(), 10);
+        assert_eq!(tail[0], at(N - 10));
+        assert_eq!(
+            whole.slice(N - 3..=N - 1).to_vec(),
+            [at(N - 3), at(N - 2), at(N - 1)]
+        );
+        assert!(whole.slice(N..).is_empty());
+
+        let mut b = whole.clone();
+        b.advance(N - 9);
+        let head = b.split_to(4);
+        assert_eq!(head.to_vec(), (N - 9..N - 5).map(at).collect::<Vec<_>>());
+        assert_eq!(
+            b.copy_to_bytes(3).to_vec(),
+            [at(N - 5), at(N - 4), at(N - 3)]
+        );
+        assert_eq!(b.remaining(), 2);
+        assert_eq!(b.get_u8(), at(N - 2));
+        b.advance(1);
+        assert!(b.is_empty());
+        assert_eq!(whole.len(), N);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the protocol hot paths: the state merge that
 //! defines the total order, the wire codec, LOT/emulation-table math, a
-//! full simulated consensus cycle, and the reactor transport. Every case
+//! full simulated consensus cycle, the reactor transport, and the
+//! key-value store every replica applies committed writes to. Every case
 //! runs a fixed iteration budget and reports the best of [`TRIES`] timed
 //! batches (best-of defeats scheduler noise), one line per case.
 //!
@@ -26,11 +27,13 @@ use canopus::{
     CanopusConfig, CanopusMsg, CanopusNode, EmulationTable, LotShape, RequestSet, VnodeId,
     VnodeState,
 };
-use canopus_kv::{ClientReply, ClientRequest, CostModel, Op, OpResult, TimedOp};
+use canopus_kv::{ClientReply, ClientRequest, CostModel, KvStore, Op, OpResult, TimedOp};
 use canopus_net::tcp::{read_frame, spawn_node_obs, write_frame, NetObs, PeerMap, TcpNodeHandle};
 use canopus_net::wire::Wire;
 use canopus_net::FaultRules;
 use canopus_sim::{Context, Dur, NodeId, Process, Simulation, Time, UniformFabric};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -58,6 +61,14 @@ fn best_ns<I, O>(iters: u32, mut setup: impl FnMut() -> I, mut routine: impl FnM
 
 fn report(name: &str, ns: f64) {
     println!("{name:<40} {ns:>12.1} ns/iter");
+}
+
+/// For a case whose iteration is `ops` operations.
+fn report_per_op(name: &str, ns: f64, ops: usize) {
+    println!(
+        "{name:<40} {ns:>12.1} ns/iter ({:.1} ns/op)",
+        ns / ops as f64
+    );
 }
 
 fn proposal(origin: u32, number: u64, ops: usize) -> VnodeState {
@@ -336,13 +347,38 @@ fn bench_reactor_transport() {
             read_frame(rx).unwrap()
         },
     );
-    println!(
-        "{:<40} {ns:>12.1} ns/iter ({:.1} ns/frame)",
-        "reactor_frames_1k_one_loop",
-        ns / BATCH as f64
-    );
+    report_per_op("reactor_frames_1k_one_loop", ns, BATCH as usize);
     drop(tx);
     handle.stop();
+}
+
+/// The store's key space, as in the wall-clock benchmark's workloads.
+const KEYS: u64 = 1_000_000;
+/// Uniform store ops per `kv_*` iteration.
+const KV_OPS: usize = 300_000;
+
+/// Apply cost: uniform puts and gets on a store holding every key. The
+/// store is filled once, untimed, and reused across batches (dropping a
+/// million-key store per batch would be timed); each batch's keys are
+/// drawn in the untimed setup.
+fn bench_store() {
+    let value = Bytes::from_static(b"12345678");
+    let mut store = KvStore::new();
+    for key in 0..KEYS {
+        store.put(key, value.clone());
+    }
+    let mut rng = SmallRng::seed_from_u64(11);
+    let mut keys = || -> Vec<u64> { (0..KV_OPS).map(|_| rng.gen_range(0..KEYS)).collect() };
+    let ns = best_ns(1, &mut keys, |keys| {
+        for key in keys {
+            store.put(key, value.clone());
+        }
+    });
+    report_per_op("kv_put_300k_of_1m", ns, KV_OPS);
+    let ns = best_ns(1, &mut keys, |keys| {
+        keys.iter().filter(|&&key| store.get(key).is_some()).count()
+    });
+    report_per_op("kv_get_300k_of_1m", ns, KV_OPS);
 }
 
 fn single_put_frame(key: u64) -> Bytes {
@@ -426,5 +462,6 @@ fn main() {
     bench_lot_math();
     bench_consensus_cycle();
     bench_reactor_transport();
+    bench_store();
     check_ingest_split();
 }

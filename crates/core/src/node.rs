@@ -1031,10 +1031,12 @@ impl CanopusNode {
     }
 
     fn commit_cycle(&mut self, c: CycleId, ctx: &mut Context<'_, CanopusMsg>) {
+        // Moved out of `ancestors` for the apply loop, which borrows `self`,
+        // and put back before pruning so `lookup_state` still serves it.
         let root = {
             let entry = self.cycles.get_mut(&c).expect("ready");
             entry.committed = true;
-            entry.ancestors[self.height - 1].clone().expect("root done")
+            entry.ancestors[self.height - 1].take().expect("root done")
         };
         let now = ctx.now();
 
@@ -1080,8 +1082,7 @@ impl CanopusNode {
                         let r = read_iter.next().expect("peeked");
                         self.serve_read(&r.req, ctx);
                     }
-                    let rec = self.apply_write(op, true, ctx);
-                    record_ops.push(rec);
+                    record_ops.extend(self.apply_write(op, true, ctx));
                     total_weight += op.req.op.weight() as u64;
                 }
                 // Reads positioned after every own write.
@@ -1090,15 +1091,16 @@ impl CanopusNode {
                 }
             } else {
                 for op in &set.ops {
-                    let rec = self.apply_write(op, false, ctx);
-                    record_ops.push(rec);
+                    record_ops.extend(self.apply_write(op, false, ctx));
                     total_weight += op.req.op.weight() as u64;
                 }
             }
-            record_sets.push(CommittedSet {
-                origin: set.origin,
-                ops: record_ops,
-            });
+            if self.cfg.record_log {
+                record_sets.push(CommittedSet {
+                    origin: set.origin,
+                    ops: record_ops,
+                });
+            }
         }
         // If our own set was somehow absent (we never contributed — cannot
         // happen for cycles we committed), serve leftover reads anyway.
@@ -1139,6 +1141,7 @@ impl CanopusNode {
             }
         }
         self.stats.commit_digest = digest;
+        self.cycles.get_mut(&c).expect("ready").ancestors[self.height - 1] = Some(root);
         if self.cfg.record_log {
             self.committed_log.push(CommittedCycle {
                 cycle: c,
@@ -1170,41 +1173,40 @@ impl CanopusNode {
         op: &TimedOp,
         is_own: bool,
         ctx: &mut Context<'_, CanopusMsg>,
-    ) -> CommittedOp {
+    ) -> Option<CommittedOp> {
         let weight = op.req.op.weight();
         ctx.charge(Dur::nanos(
             self.cfg.costs.per_commit.as_nanos() * weight.min(4096) as u64,
         ));
+        let log = self.cfg.record_log;
         let record = match &op.req.op {
             Op::Put { key, value } => {
                 let version = self.store.put(*key, value.clone());
-                CommittedOp::Put {
+                log.then_some(CommittedOp::Put {
                     client: op.req.client,
                     op_id: op.req.op_id,
                     key: *key,
                     version,
-                }
+                })
             }
-            Op::SyntheticWrite { count, .. } => CommittedOp::Synthetic {
+            Op::SyntheticWrite { count, .. } => log.then_some(CommittedOp::Synthetic {
                 client: op.req.client,
                 op_id: op.req.op_id,
                 count: *count,
-            },
+            }),
             Op::MultiPut { puts } => {
                 // Commit work scales with touched keys, not request weight.
                 ctx.charge(Dur::nanos(
                     self.cfg.costs.per_commit.as_nanos() * (puts.len().min(4096)) as u64,
                 ));
-                let mut keys = Vec::with_capacity(puts.len());
                 for (key, value) in puts {
                     self.store.put(*key, value.clone());
-                    keys.push(*key);
                 }
-                CommittedOp::MultiPut {
+                log.then(|| CommittedOp::MultiPut {
                     client: op.req.client,
                     op_id: op.req.op_id,
-                    keys,
-                }
+                    keys: puts.iter().map(|(key, _)| *key).collect(),
+                })
             }
             _ => unreachable!("reads are never in request sets"),
         };

@@ -15,6 +15,12 @@ pub struct CostModel {
     /// Cost to ingest one client request (parse, enqueue, bookkeeping).
     pub per_request: Dur,
     /// Cost to apply one committed write and emit the reply.
+    ///
+    /// Measured live, per replica (whole `commit_cycle` time per applied
+    /// `Put`, `write_open` wall-clock workload, 9 nodes on a 2-vCPU host,
+    /// 10 s runs): ≈ 1.8–2.1 µs with an ordered-map store, ≈ 1.2 µs with
+    /// the hash-indexed store. The constant stays at 1000 ns so simulated
+    /// figures do not move; recalibrating it is a separate change.
     pub per_commit: Dur,
     /// Cost to serve one read from local state.
     pub per_read: Dur,

@@ -115,7 +115,7 @@ impl WireRead for Bytes {
         if self.remaining() < n {
             return Err(WireError::Truncated);
         }
-        Ok(self.split_to(n))
+        Ok(self.copy_to_bytes(n))
     }
 }
 

@@ -668,7 +668,9 @@ impl RaftCore {
                         self.log.push(entry);
                     }
                 }
-                let new_commit = commit.min(index.max(self.last_log_index().min(index)));
+                // Raft's rule: commitIndex = min(leaderCommit, index of
+                // last new entry).
+                let new_commit = commit.min(index);
                 if new_commit > self.commit_index {
                     self.commit_index = new_commit;
                 }
