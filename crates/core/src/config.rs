@@ -59,11 +59,6 @@ pub struct CanopusConfig {
     /// cycle N's result drain (§7.1 pipelining) — the cycle rate is then
     /// bounded by the slowest round, not the full commit latency.
     pub max_pipeline_depth: u64,
-    /// Number of super-leaf representatives fetching remote vnode states.
-    pub representatives: usize,
-    /// How many representatives redundantly fetch each vnode state
-    /// (the paper's example uses 2 for fault tolerance; 1 is leanest).
-    pub fetch_redundancy: usize,
     /// Re-issue a proposal-request if unanswered for this long (covers
     /// emulator failure; must exceed the largest RTT in the deployment).
     pub fetch_timeout: Dur,
@@ -76,17 +71,11 @@ pub struct CanopusConfig {
     pub raft: RaftConfig,
     /// Read linearization mode.
     pub read_mode: ReadMode,
-    /// Cycles a write lease stays active after its granting cycle
-    /// (lease mode only).
-    pub lease_span: u64,
     /// CPU cost model.
     pub costs: CostModel,
     /// Keep per-cycle commit records for inspection by tests (disable for
     /// long benchmark runs; the commit digest is always maintained).
     pub record_log: bool,
-    /// How many completed cycles to retain for answering late
-    /// proposal-requests from lagging super-leaves.
-    pub state_retention: u64,
 }
 
 impl Default for CanopusConfig {
@@ -97,17 +86,13 @@ impl Default for CanopusConfig {
             max_batch: 1000,
             max_linger: Dur::ZERO,
             max_pipeline_depth: 1,
-            representatives: 2,
-            fetch_redundancy: 1,
             fetch_timeout: Dur::millis(700),
             tick_interval: Dur::millis(1),
             failure_timeout: Dur::millis(25),
             raft: RaftConfig::default(),
             read_mode: ReadMode::Delayed,
-            lease_span: 8,
             costs: CostModel::default(),
             record_log: true,
-            state_retention: 64,
         }
     }
 }

@@ -39,6 +39,19 @@ const TICK: u64 = 1;
 const CYCLE: u64 = 2;
 const LINGER: u64 = 3;
 
+/// Number of super-leaf representatives fetching remote vnode states
+/// (§4.5).
+const REPRESENTATIVES: usize = 2;
+/// How many representatives redundantly fetch each vnode state (the
+/// paper's example uses 2 for fault tolerance; 1 is leanest).
+const FETCH_REDUNDANCY: usize = 1;
+/// Cycles a write lease stays active after its granting cycle (lease mode
+/// only, §7.2).
+const LEASE_SPAN: u64 = 8;
+/// How many completed cycles a node retains for answering late
+/// proposal-requests from lagging super-leaves.
+const STATE_RETENTION: u64 = 64;
+
 /// One committed operation, as recorded in the commit log.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CommittedOp {
@@ -663,7 +676,7 @@ impl CanopusNode {
         }
     }
 
-    /// The representative set: the first `representatives` non-excluded
+    /// The representative set: the first [`REPRESENTATIVES`] non-excluded
     /// members of this super-leaf, in id order (§4.5: representatives are
     /// numbered and ordered; assignment needs no communication).
     fn representative_set(&self) -> Vec<NodeId> {
@@ -671,7 +684,7 @@ impl CanopusNode {
             .iter()
             .copied()
             .filter(|m| !self.tombstoned.contains_key(m))
-            .take(self.cfg.representatives.max(1))
+            .take(REPRESENTATIVES)
             .collect()
     }
 
@@ -695,12 +708,7 @@ impl CanopusNode {
                 .filter(|v| *v != own_child)
                 .collect();
             for (j, vnode) in needed.into_iter().enumerate() {
-                let mut mine = false;
-                for k in 0..self.cfg.fetch_redundancy.max(1) {
-                    if reps[(j + k) % reps.len()] == self.me {
-                        mine = true;
-                    }
-                }
+                let mine = (0..FETCH_REDUNDANCY).any(|k| reps[(j + k) % reps.len()] == self.me);
                 if !mine {
                     continue;
                 }
@@ -1044,11 +1052,11 @@ impl CanopusNode {
         self.table.apply_all(&root.updates);
 
         // 2. Lease grants (§7.2): requests in this cycle cover the next
-        //    `lease_span` cycles.
+        //    `LEASE_SPAN` cycles.
         let mut unlocked: Vec<Key> = Vec::new();
         for set in &root.sets {
             for &key in &set.lease_requests {
-                self.lease_until.insert(key, c.0 + self.cfg.lease_span);
+                self.lease_until.insert(key, c.0 + LEASE_SPAN);
                 if set.origin == self.me {
                     unlocked.push(key);
                 }
@@ -1161,7 +1169,7 @@ impl CanopusNode {
         );
 
         // 6. Prune retired cycle state.
-        let keep_from = CycleId(c.0.saturating_sub(self.cfg.state_retention));
+        let keep_from = CycleId(c.0.saturating_sub(STATE_RETENTION));
         let stale: Vec<CycleId> = self.cycles.range(..keep_from).map(|(&k, _)| k).collect();
         for k in stale {
             self.cycles.remove(&k);

@@ -14,8 +14,8 @@ use canopus_kv::{
     ReadObs, ReplyEvent, WriteObs,
 };
 use canopus_sim::{
-    impl_process_any, Context, Dur, LossyFabric, NodeId, PartitionableFabric, Process, Simulation,
-    Time, Timer, UniformFabric,
+    impl_process_any, Context, Dur, FaultAction, FaultFabric, FaultTable, NodeId, Process,
+    Simulation, Time, Timer, UniformFabric,
 };
 
 // ---------------------------------------------------------------------
@@ -84,9 +84,9 @@ impl Process<CanopusMsg> for ScriptClient {
 // Cluster builder
 // ---------------------------------------------------------------------
 
-/// The same composed fault-injection fabric the harness `Cluster` uses,
-/// over the uniform-latency fabric these protocol-level tests want.
-type TestFabric = PartitionableFabric<LossyFabric<UniformFabric>>;
+/// The same fault-injection fabric the harness `Cluster` uses, over the
+/// uniform-latency fabric these protocol-level tests want.
+type TestFabric = FaultFabric<UniformFabric>;
 
 struct Cluster {
     sim: Simulation<CanopusMsg, TestFabric>,
@@ -94,11 +94,10 @@ struct Cluster {
 }
 
 impl Cluster {
-    /// Fault-injection access, mirroring `canopus_harness::Cluster::fabric_mut`
-    /// — partition setups go through this passthrough instead of reaching
-    /// into `Simulation` internals.
-    fn fabric_mut(&mut self) -> &mut TestFabric {
-        self.sim.fabric_mut()
+    /// The fabric's fault table, where partition setups apply their
+    /// `FaultAction`s.
+    fn faults(&mut self) -> &mut FaultTable {
+        self.sim.fabric_mut().faults_mut()
     }
 }
 
@@ -112,8 +111,7 @@ fn build_cluster(shape: LotShape, per_leaf: usize, cfg: &CanopusConfig, seed: u6
         membership.push(members);
     }
     let table = EmulationTable::new(shape, membership);
-    let fabric =
-        PartitionableFabric::new(LossyFabric::new(UniformFabric::new(Dur::micros(50)), 0.0));
+    let fabric = FaultFabric::new(UniformFabric::new(Dur::micros(50)));
     let mut sim = Simulation::new(fabric, seed);
     let mut nodes = Vec::new();
     for i in 0..next {
@@ -599,10 +597,10 @@ fn superleaf_partition_stalls_then_recovers_after_heal() {
     let client = add_client(&mut cluster, NodeId(0), script);
     cluster.sim.run_for(Dur::millis(20));
 
-    // Cut the two super-leaves apart through the fabric passthrough.
+    // Cut the two super-leaves apart through the fabric's fault table.
     let leaf0: Vec<NodeId> = (0..3).map(NodeId).collect();
     let leaf1: Vec<NodeId> = (3..6).map(NodeId).collect();
-    cluster.fabric_mut().cut_groups(&leaf0, &leaf1);
+    cluster.faults().apply(&FaultAction::Cut(leaf0, leaf1));
     cluster.sim.run_for(Dur::millis(150));
     let stalled_at = stats_of(&cluster, NodeId(0)).committed_cycles;
     cluster.sim.run_for(Dur::millis(150));
@@ -616,7 +614,7 @@ fn superleaf_partition_stalls_then_recovers_after_heal() {
     assert!(check_agreement(&commit_histories(&cluster)).is_ok());
 
     // …and restored once the partition heals: every write completes.
-    cluster.fabric_mut().heal_all();
+    cluster.faults().apply(&FaultAction::HealAll);
     cluster.sim.run_for(Dur::millis(600));
     let c = cluster.sim.node::<ScriptClient>(client);
     assert_eq!(c.replies.len(), 60, "all writes commit after healing");
@@ -637,7 +635,7 @@ fn intra_leaf_isolation_excludes_member_and_consensus_continues() {
     let client = add_client(&mut cluster, NodeId(0), script);
     cluster.sim.run_for(Dur::millis(10));
     // Isolate node 1 (no crash: the process stays alive but unreachable).
-    cluster.fabric_mut().isolate(NodeId(1));
+    cluster.faults().apply(&FaultAction::Isolate(NodeId(1)));
     cluster.sim.run_for(Dur::millis(400));
 
     // The survivors tombstone the silent member and keep committing.

@@ -5,11 +5,10 @@
 //! its own rack/datacenter; we aggregate them into one open-loop Poisson
 //! client process per node, splitting the offered load evenly.
 //!
-//! Every cluster is built over the composed fault-injection fabric
-//! [`ChaosFabric`] — a [`PartitionableFabric`] over a [`LossyFabric`] over
+//! Every cluster is built over [`ChaosFabric`] — a [`FaultFabric`] over
 //! the Clos topology — so the nemesis engine ([`canopus_sim::fault`]) can
 //! partition, impair, and heal any deployment mid-run. With no faults
-//! installed the decorators are pass-through and the event schedule is
+//! installed the decorator is pass-through and the event schedule is
 //! identical to the bare [`ClosFabric`].
 
 use std::collections::BTreeSet;
@@ -19,17 +18,16 @@ use canopus_net::ClosFabric;
 use canopus_obs::{NodeObs, Registry, Snapshot};
 use canopus_sim::fault::{FaultAction, FaultPlan, NemesisDriver};
 use canopus_sim::{
-    impl_process_any, Dur, LossyFabric, NodeConfig, NodeId, PartitionableFabric, Payload, Process,
-    Simulation, Time,
+    impl_process_any, Dur, FaultFabric, NodeConfig, NodeId, Payload, Process, Simulation, Time,
 };
 use canopus_workload::{OpenLoopClient, OpenLoopConfig, ProtocolMsg};
 
 use crate::protocol::{ChaosProtocol, Recipe};
 use crate::spec::{DeploymentSpec, LoadSpec, TopoSpec};
 
-/// The default fabric of every built cluster: partitions over loss over
-/// the Clos topology.
-pub type ChaosFabric = PartitionableFabric<LossyFabric<ClosFabric>>;
+/// The default fabric of every built cluster: faults over the Clos
+/// topology.
+pub type ChaosFabric = FaultFabric<ClosFabric>;
 
 /// Observability configuration for a cluster build: disabled (the
 /// default for benchmarks — every recording is one branch) or enabled
@@ -110,18 +108,6 @@ pub struct Cluster<M: ChaosProtocol> {
 }
 
 impl<M: ChaosProtocol> Cluster<M> {
-    /// Mutable access to the fault-injection fabric — the supported way
-    /// for tests to install partitions, loss, and isolation, instead of
-    /// reaching through `Simulation` internals.
-    pub fn fabric_mut(&mut self) -> &mut ChaosFabric {
-        self.sim.fabric_mut()
-    }
-
-    /// Immutable access to the fault-injection fabric.
-    pub fn fabric(&self) -> &ChaosFabric {
-        self.sim.fabric()
-    }
-
     /// Applies `plan` while running the simulation for `horizon` of
     /// virtual time from now, restarting crashed nodes through the
     /// protocol's restart policy. Returns the concrete action timeline
@@ -213,7 +199,7 @@ pub fn build_cluster<M: ChaosProtocol>(
         let rack = topo.rack_of(NodeId(i as u32));
         client_slots.push(topo.add_node(rack));
     }
-    let fabric = PartitionableFabric::new(LossyFabric::new(ClosFabric::new(topo), 0.0));
+    let fabric = FaultFabric::new(ClosFabric::new(topo));
     let mut sim = Simulation::new(fabric, seed);
     let mut nodes = Vec::with_capacity(n);
     for i in 0..n {

@@ -7,10 +7,10 @@
 //! [`LiveCluster::run_plan`] then replays the *same* [`FaultPlan`]s the
 //! simulator suite uses, on the wall clock:
 //!
-//! * network actions (cuts, isolation, loss) are installed into the
-//!   shared [`FaultRules`], which the transport consults on its send and
-//!   receive paths — the live analogue of the simulator's
-//!   `PartitionableFabric<LossyFabric<_>>`;
+//! * network actions (cuts, isolation, loss) go to
+//!   [`FaultRules::apply`], whose shared `FaultTable` the transport
+//!   consults on its send and receive paths — the same table the
+//!   simulator's `FaultFabric` routes through;
 //! * `Crash` stops the node's loop (keeping its final process state) and
 //!   marks it crashed in the rules so peers drop its traffic;
 //! * `Restart` rebuilds a replacement process through the protocol's
@@ -61,7 +61,7 @@ use canopus_net::tcp::{spawn_node_obs, NetObs, PeerMap, TcpNodeHandle};
 use canopus_net::{FaultRules, Wire};
 use canopus_obs::{EventKind as ObsEvent, Snapshot};
 use canopus_raft::RaftConfig;
-use canopus_sim::fault::{FaultAction, FaultPlan, NemesisFabric, NemesisSchedule};
+use canopus_sim::fault::{FaultAction, FaultPlan, NemesisSchedule};
 use canopus_sim::{Dur, NodeId, Payload, Process, Time};
 use canopus_zab::ZabConfig;
 
@@ -352,7 +352,7 @@ impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
                         }
                     }
                     FaultAction::Restart(n) => self.restart(*n),
-                    net => self.apply(net),
+                    net => self.rules.apply(net),
                 }
                 sched.record(at, action);
             }
@@ -450,22 +450,6 @@ impl<M: ChaosProtocol + Wire + Send> LiveCluster<M> {
             clients,
             ever_crashed: self.ever_crashed,
             recipe: self.recipe,
-        }
-    }
-}
-
-/// Network fault actions map straight onto the shared [`FaultRules`]
-/// table — the live counterpart of the simulator fabric's implementation.
-impl<M: ChaosProtocol + Wire + Send> NemesisFabric for LiveCluster<M> {
-    fn apply(&mut self, action: &FaultAction) {
-        match action {
-            FaultAction::Cut(a, b) => self.rules.cut_groups(a, b),
-            FaultAction::Heal(a, b) => self.rules.heal_groups(a, b),
-            FaultAction::HealAll => self.rules.heal_all(),
-            FaultAction::SetLoss(p) => self.rules.set_loss(*p),
-            FaultAction::SetNodeOutLoss(n, p) => self.rules.set_out_loss(*n, *p),
-            FaultAction::Isolate(n) => self.rules.isolate(*n),
-            FaultAction::Crash(_) | FaultAction::Restart(_) => {}
         }
     }
 }

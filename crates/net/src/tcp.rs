@@ -598,7 +598,7 @@ mod tests {
     use super::*;
     use crate::reactor::append_frame;
     use bytes::BytesMut;
-    use canopus_sim::impl_process_any;
+    use canopus_sim::{impl_process_any, FaultAction};
     use std::net::TcpStream;
 
     #[derive(Debug, Clone, PartialEq)]
@@ -730,7 +730,7 @@ mod tests {
             seen: Vec::new(),
         };
         let rules = Arc::new(FaultRules::new(3));
-        rules.cut_groups(&[NodeId(0)], &[NodeId(1)]);
+        rules.apply(&FaultAction::Cut(vec![NodeId(0)], vec![NodeId(1)]));
         let handles = spawn_local_cluster::<Num>(vec![Box::new(a), Box::new(b)], 7, rules.clone());
         std::thread::sleep(StdDuration::from_millis(200));
         let mut processes = Vec::new();
@@ -977,8 +977,8 @@ mod tests {
         };
         let build = || {
             let rules = FaultRules::new(0xC0FFEE);
-            rules.set_loss(0.5);
-            rules.cut_one_way(NodeId(2), NodeId(3));
+            rules.apply(&FaultAction::SetLoss(0.5));
+            rules.apply(&FaultAction::Cut(vec![NodeId(2)], vec![NodeId(3)]));
             rules
         };
         let a = interrogate(&build());

@@ -170,8 +170,8 @@ impl SuperLeafBroadcast {
 mod tests {
     use super::*;
     use canopus_sim::{
-        impl_process_any, Context, Dur, LossyFabric, Payload, Process, Simulation, Timer,
-        UniformFabric,
+        impl_process_any, Context, Dur, FaultAction, FaultFabric, Payload, Process, Simulation,
+        Timer, UniformFabric,
     };
 
     /// Host process used to exercise broadcast inside the simulator.
@@ -255,8 +255,9 @@ mod tests {
         payloads_for: impl Fn(usize) -> Vec<Bytes>,
         loss: f64,
         seed: u64,
-    ) -> (Simulation<HostMsg, LossyFabric<UniformFabric>>, Vec<NodeId>) {
-        let fabric = LossyFabric::new(UniformFabric::new(Dur::micros(25)), loss);
+    ) -> (Simulation<HostMsg, FaultFabric<UniformFabric>>, Vec<NodeId>) {
+        let mut fabric = FaultFabric::new(UniformFabric::new(Dur::micros(25)));
+        fabric.faults_mut().apply(&FaultAction::SetLoss(loss));
         let mut sim = Simulation::new(fabric, seed);
         let members: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
         for i in 0..n {
@@ -271,7 +272,7 @@ mod tests {
     }
 
     fn delivered_keys(
-        sim: &Simulation<HostMsg, LossyFabric<UniformFabric>>,
+        sim: &Simulation<HostMsg, FaultFabric<UniformFabric>>,
         id: NodeId,
     ) -> Vec<(NodeId, u64, Bytes)> {
         let host = sim.node::<Host>(id);

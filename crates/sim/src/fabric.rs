@@ -3,14 +3,12 @@
 //! The simulation kernel asks its [`Fabric`] what happens to each message:
 //! when it arrives, or that it is lost. `canopus-net` supplies the
 //! topology-aware Clos/WAN fabric used by the experiments; this module
-//! provides simple fabrics for unit tests plus loss/partition decorators
-//! that compose over any inner fabric.
-
-use std::collections::BTreeSet;
+//! provides a uniform fabric for unit tests plus the fault decorator that
+//! wraps any inner fabric.
 
 use rand::rngs::SmallRng;
-use rand::Rng;
 
+use crate::fault::FaultTable;
 use crate::process::{NodeId, Payload};
 use crate::time::{Dur, Time};
 
@@ -53,166 +51,35 @@ impl<M: Payload> Fabric<M> for UniformFabric {
     }
 }
 
-/// Decorator that drops each message with probability `loss`, and otherwise
-/// defers to the inner fabric. The loss rate can be changed mid-run (the
-/// nemesis engine's `SetLoss` event), and asymmetric impairment is modelled
-/// with per-sender overrides: traffic *leaving* an impaired node is dropped
-/// at its own rate while the reverse direction keeps the global rate.
-pub struct LossyFabric<F> {
+/// Decorator that drops every message its [`FaultTable`] drops (cuts,
+/// isolation, loss — §3.4 of the paper: Canopus must stall, not diverge,
+/// under partition) and otherwise defers to the inner fabric. With no
+/// faults installed it is pass-through and consumes no randomness, so the
+/// event schedule is identical to the bare inner fabric's.
+pub struct FaultFabric<F> {
     inner: F,
-    loss: f64,
-    out_loss: std::collections::BTreeMap<NodeId, f64>,
+    faults: FaultTable,
 }
 
-impl<F> LossyFabric<F> {
-    /// Wraps `inner`, dropping messages with probability `loss` ∈ [0, 1].
-    pub fn new(inner: F, loss: f64) -> Self {
-        assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
-        LossyFabric {
-            inner,
-            loss,
-            out_loss: std::collections::BTreeMap::new(),
-        }
-    }
-
-    /// Changes the global loss probability.
-    pub fn set_loss(&mut self, loss: f64) {
-        assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
-        self.loss = loss;
-    }
-
-    /// Current global loss probability.
-    pub fn loss(&self) -> f64 {
-        self.loss
-    }
-
-    /// Sets an asymmetric loss rate for traffic sent *by* `node`
-    /// (overrides the global rate for that direction). `loss = 0` removes
-    /// the override only if the global rate is also zero — pass exactly
-    /// what should apply to the node's outbound traffic.
-    pub fn set_out_loss(&mut self, node: NodeId, loss: f64) {
-        assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
-        self.out_loss.insert(node, loss);
-    }
-
-    /// Clears the global and all per-node loss rates.
-    pub fn clear_loss(&mut self) {
-        self.loss = 0.0;
-        self.out_loss.clear();
-    }
-
-    /// Access to the wrapped fabric.
-    pub fn inner_mut(&mut self) -> &mut F {
-        &mut self.inner
-    }
-}
-
-impl<M: Payload, F: Fabric<M>> Fabric<M> for LossyFabric<F> {
-    fn route(&mut self, from: NodeId, to: NodeId, msg: &M, now: Time, rng: &mut SmallRng) -> Route {
-        let p = match self.out_loss.get(&from) {
-            Some(&p) => p,
-            None => self.loss,
-        };
-        if p > 0.0 && rng.gen::<f64>() < p {
-            return Route::Drop;
-        }
-        self.inner.route(from, to, msg, now, rng)
-    }
-}
-
-/// Decorator that drops messages crossing an administratively installed
-/// partition. Used by failure-injection tests (§3.4 of the paper: Canopus
-/// must stall, not diverge, under partition).
-pub struct PartitionableFabric<F> {
-    inner: F,
-    /// Pairs (a, b) with a < b such that traffic between a and b is cut.
-    cut: BTreeSet<(NodeId, NodeId)>,
-    /// Nodes cut from everyone (both directions).
-    isolated: BTreeSet<NodeId>,
-}
-
-impl<F> PartitionableFabric<F> {
-    /// Wraps `inner` with no partitions installed.
+impl<F> FaultFabric<F> {
+    /// Wraps `inner` with no faults installed.
     pub fn new(inner: F) -> Self {
-        PartitionableFabric {
+        FaultFabric {
             inner,
-            cut: BTreeSet::new(),
-            isolated: BTreeSet::new(),
+            faults: FaultTable::default(),
         }
     }
 
-    fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-        if a <= b {
-            (a, b)
-        } else {
-            (b, a)
-        }
-    }
-
-    /// Cuts bidirectional connectivity between `a` and `b`.
-    pub fn cut_pair(&mut self, a: NodeId, b: NodeId) {
-        self.cut.insert(Self::key(a, b));
-    }
-
-    /// Restores connectivity between `a` and `b`.
-    pub fn heal_pair(&mut self, a: NodeId, b: NodeId) {
-        self.cut.remove(&Self::key(a, b));
-    }
-
-    /// Cuts every pair with one endpoint in `side_a` and the other in `side_b`.
-    pub fn cut_groups(&mut self, side_a: &[NodeId], side_b: &[NodeId]) {
-        for &a in side_a {
-            for &b in side_b {
-                self.cut_pair(a, b);
-            }
-        }
-    }
-
-    /// Heals every pair with one endpoint in `side_a` and the other in
-    /// `side_b` (the inverse of [`Self::cut_groups`]).
-    pub fn heal_groups(&mut self, side_a: &[NodeId], side_b: &[NodeId]) {
-        for &a in side_a {
-            for &b in side_b {
-                self.heal_pair(a, b);
-            }
-        }
-    }
-
-    /// Cuts `node` off from every other node, both directions.
-    pub fn isolate(&mut self, node: NodeId) {
-        self.isolated.insert(node);
-    }
-
-    /// Reconnects an isolated node.
-    pub fn unisolate(&mut self, node: NodeId) {
-        self.isolated.remove(&node);
-    }
-
-    /// Removes all installed partitions and isolations.
-    pub fn heal_all(&mut self) {
-        self.cut.clear();
-        self.isolated.clear();
-    }
-
-    /// Number of cut pairs currently installed.
-    pub fn cut_count(&self) -> usize {
-        self.cut.len()
-    }
-
-    /// Access to the wrapped fabric.
-    pub fn inner_mut(&mut self) -> &mut F {
-        &mut self.inner
+    /// Mutable access to the installed faults, e.g. to
+    /// [`FaultTable::apply`] a `FaultAction`.
+    pub fn faults_mut(&mut self) -> &mut FaultTable {
+        &mut self.faults
     }
 }
 
-impl<M: Payload, F: Fabric<M>> Fabric<M> for PartitionableFabric<F> {
+impl<M: Payload, F: Fabric<M>> Fabric<M> for FaultFabric<F> {
     fn route(&mut self, from: NodeId, to: NodeId, msg: &M, now: Time, rng: &mut SmallRng) -> Route {
-        if !self.isolated.is_empty()
-            && (self.isolated.contains(&from) || self.isolated.contains(&to))
-        {
-            return Route::Drop;
-        }
-        if self.cut.contains(&Self::key(from, to)) {
+        if self.faults.drops(from, to, rng) {
             return Route::Drop;
         }
         self.inner.route(from, to, msg, now, rng)
@@ -242,71 +109,19 @@ mod tests {
     }
 
     #[test]
-    fn lossy_fabric_drops_roughly_at_rate() {
-        let mut f = LossyFabric::new(UniformFabric::new(Dur::ZERO), 0.25);
-        let mut rng = SmallRng::seed_from_u64(42);
-        let mut dropped = 0;
-        for _ in 0..10_000 {
-            if Fabric::<u32>::route(&mut f, NodeId(0), NodeId(1), &7, Time::ZERO, &mut rng)
-                == Route::Drop
-            {
-                dropped += 1;
-            }
-        }
-        assert!((2000..3000).contains(&dropped), "dropped {dropped}/10000");
-    }
-
-    #[test]
-    fn zero_loss_never_drops() {
-        let mut f = LossyFabric::new(UniformFabric::new(Dur::ZERO), 0.0);
-        let mut rng = SmallRng::seed_from_u64(1);
-        for _ in 0..1000 {
-            assert_ne!(
-                Fabric::<u32>::route(&mut f, NodeId(0), NodeId(1), &7, Time::ZERO, &mut rng),
-                Route::Drop
-            );
-        }
-    }
-
-    #[test]
-    fn partition_cuts_both_directions_and_heals() {
-        let mut f = PartitionableFabric::new(UniformFabric::new(Dur::ZERO));
+    fn fault_fabric_drops_what_its_table_drops_and_defers_otherwise() {
+        use crate::fault::FaultAction;
+        let mut f = FaultFabric::new(UniformFabric::new(Dur::micros(5)));
         let mut rng = SmallRng::seed_from_u64(0);
-        f.cut_pair(NodeId(1), NodeId(2));
-        assert_eq!(
-            Fabric::<u32>::route(&mut f, NodeId(1), NodeId(2), &7, Time::ZERO, &mut rng),
-            Route::Drop
-        );
+        f.faults_mut()
+            .apply(&FaultAction::Cut(vec![NodeId(1)], vec![NodeId(2)]));
         assert_eq!(
             Fabric::<u32>::route(&mut f, NodeId(2), NodeId(1), &7, Time::ZERO, &mut rng),
             Route::Drop
         );
-        // Unrelated pair unaffected.
-        assert_ne!(
-            Fabric::<u32>::route(&mut f, NodeId(0), NodeId(2), &7, Time::ZERO, &mut rng),
-            Route::Drop
-        );
-        f.heal_all();
-        assert_ne!(
-            Fabric::<u32>::route(&mut f, NodeId(1), NodeId(2), &7, Time::ZERO, &mut rng),
-            Route::Drop
-        );
-    }
-
-    #[test]
-    fn cut_groups_cuts_cross_product() {
-        let mut f = PartitionableFabric::new(UniformFabric::new(Dur::ZERO));
-        let mut rng = SmallRng::seed_from_u64(0);
-        f.cut_groups(&[NodeId(0), NodeId(1)], &[NodeId(2)]);
-        for a in [0u32, 1] {
-            assert_eq!(
-                Fabric::<u32>::route(&mut f, NodeId(a), NodeId(2), &7, Time::ZERO, &mut rng),
-                Route::Drop
-            );
-        }
-        assert_ne!(
+        assert_eq!(
             Fabric::<u32>::route(&mut f, NodeId(0), NodeId(1), &7, Time::ZERO, &mut rng),
-            Route::Drop
+            Route::Deliver(Time::ZERO + Dur::micros(5))
         );
     }
 }

@@ -1,26 +1,31 @@
 //! The deterministic nemesis engine: seeded, time-ordered fault schedules
-//! applied to a running [`Simulation`].
+//! applied to a running [`Simulation`], and the one network fault policy
+//! both runtimes share.
 //!
 //! A [`FaultPlan`] is a declarative, virtual-time schedule of
 //! [`FaultEvent`]s — partitions, crashes, restarts, loss injection, node
 //! isolation, link flapping — built with combinators (`at`, `then`,
 //! `repeat`, `randomized`). A [`NemesisDriver`] replays the plan against
-//! any simulation whose fabric implements [`NemesisFabric`] (the
-//! [`PartitionableFabric`]`<`[`LossyFabric`]`<F>>` composition provides it
-//! for every inner fabric), interleaving fault application with event
-//! processing so faults land at exact virtual instants.
+//! any simulation over a [`FaultFabric`], interleaving fault application
+//! with event processing so faults land at exact virtual instants.
+//!
+//! A [`FaultTable`] is what every network [`FaultAction`] means: cuts,
+//! isolation, crash marks, global and per-sender loss, and the drop
+//! verdict they give one message. The simulator's [`FaultFabric`] and the
+//! live transport's `canopus_net::FaultRules` both decide drops through
+//! it, so the same plan injects the same faults simulated and live.
 //!
 //! Determinism: the plan is data, the jitter is seeded, and the driver
 //! advances the simulation with `run_until` between events — so the same
 //! plan + seed always yields the same execution (guarded by the trace-hash
 //! regression tests in the chaos suite).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fabric::{Fabric, LossyFabric, PartitionableFabric};
+use crate::fabric::{Fabric, FaultFabric};
 use crate::process::{NodeId, Payload, Process};
 use crate::sim::Simulation;
 use crate::time::{Dur, Time};
@@ -226,30 +231,115 @@ impl FaultPlan {
     }
 }
 
-/// The network half of the nemesis: a fabric that can apply every
-/// [`FaultAction`] except `Crash` and `Restart`, which act on nodes and are
-/// left to the driver. Implemented by the canonical
-/// [`PartitionableFabric`]`<`[`LossyFabric`]`<F>>` composition over any
-/// inner fabric.
-pub trait NemesisFabric {
-    /// Applies a network action; `Crash` and `Restart` are ignored.
-    fn apply(&mut self, action: &FaultAction);
+/// The network fault state of a cluster and the drop verdict it gives each
+/// message. Plain data with no clock or I/O: the simulator's
+/// [`FaultFabric`] owns one, and the live transport shares one behind a
+/// lock.
+#[derive(Debug, Default)]
+pub struct FaultTable {
+    /// Cut pairs keyed `(min, max)`: traffic between the two is dropped in
+    /// both directions.
+    cut: BTreeSet<(NodeId, NodeId)>,
+    /// Nodes cut off from everyone, both directions.
+    isolated: BTreeSet<NodeId>,
+    /// Crash-stopped nodes whose traffic peers drop (the live transport
+    /// marks them; the simulator stops crashed processes itself).
+    crashed: BTreeSet<NodeId>,
+    /// Global message-loss probability.
+    loss: f64,
+    /// Per-sender loss rates; an entry replaces the global rate for that
+    /// sender, so 0.0 shields it.
+    out_loss: BTreeMap<NodeId, f64>,
 }
 
-impl<F> NemesisFabric for PartitionableFabric<LossyFabric<F>> {
-    fn apply(&mut self, action: &FaultAction) {
+fn pair(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
+    (a.min(b), a.max(b))
+}
+
+fn assert_probability(p: f64) {
+    assert!((0.0..=1.0).contains(&p), "loss must be a probability");
+}
+
+impl FaultTable {
+    /// Applies a network action. `Crash` and `Restart` act on nodes and are
+    /// ignored; `HealAll` clears cuts, isolation and all loss but keeps
+    /// crash marks (a crashed node stays down until restarted).
+    pub fn apply(&mut self, action: &FaultAction) {
         match action {
-            FaultAction::Cut(a, b) => self.cut_groups(a, b),
-            FaultAction::Heal(a, b) => self.heal_groups(a, b),
-            FaultAction::HealAll => {
-                self.heal_all();
-                self.inner_mut().clear_loss();
+            FaultAction::Cut(a, b) => {
+                for &x in a {
+                    for &y in b {
+                        self.cut.insert(pair(x, y));
+                    }
+                }
             }
-            FaultAction::SetLoss(p) => self.inner_mut().set_loss(*p),
-            FaultAction::SetNodeOutLoss(n, p) => self.inner_mut().set_out_loss(*n, *p),
-            FaultAction::Isolate(n) => self.isolate(*n),
+            FaultAction::Heal(a, b) => {
+                for &x in a {
+                    for &y in b {
+                        self.cut.remove(&pair(x, y));
+                    }
+                }
+            }
+            FaultAction::HealAll => {
+                self.cut.clear();
+                self.isolated.clear();
+                self.loss = 0.0;
+                self.out_loss.clear();
+            }
+            FaultAction::SetLoss(p) => {
+                assert_probability(*p);
+                self.loss = *p;
+            }
+            FaultAction::SetNodeOutLoss(n, p) => {
+                assert_probability(*p);
+                self.out_loss.insert(*n, *p);
+            }
+            FaultAction::Isolate(n) => {
+                self.isolated.insert(*n);
+            }
             FaultAction::Crash(_) | FaultAction::Restart(_) => {}
         }
+    }
+
+    /// Marks `node` crash-stopped (or clears the mark): while set, traffic
+    /// to and from it is dropped.
+    pub fn set_crashed(&mut self, node: NodeId, crashed: bool) {
+        if crashed {
+            self.crashed.insert(node);
+        } else {
+            self.crashed.remove(&node);
+        }
+    }
+
+    /// Whether no rule is installed, so nothing is ever dropped.
+    pub fn is_clear(&self) -> bool {
+        self.cut.is_empty()
+            && self.isolated.is_empty()
+            && self.crashed.is_empty()
+            && self.loss <= 0.0
+            && self.out_loss.is_empty()
+    }
+
+    /// The deterministic verdict for `from → to`: isolation, then cuts,
+    /// then crash marks. Never applies loss, so it is safe to consult more
+    /// than once per message.
+    pub fn drops_link(&self, from: NodeId, to: NodeId) -> bool {
+        self.isolated.contains(&from)
+            || self.isolated.contains(&to)
+            || self.cut.contains(&pair(from, to))
+            || self.crashed.contains(&from)
+            || self.crashed.contains(&to)
+    }
+
+    /// The full verdict for `from → to`: the link verdict first, then one
+    /// `rng` roll against the sender's loss rate, made only when that rate
+    /// is above 0. Consult exactly once per message, or the loss compounds.
+    pub fn drops(&self, from: NodeId, to: NodeId, rng: &mut SmallRng) -> bool {
+        if self.drops_link(from, to) {
+            return true;
+        }
+        let p = self.out_loss.get(&from).copied().unwrap_or(self.loss);
+        p > 0.0 && rng.gen::<f64>() < p
     }
 }
 
@@ -266,7 +356,7 @@ pub type RestartFn<'a, M> =
 /// [`NemesisDriver`] steps a [`Simulation`] between actions, while the
 /// wall-clock live driver in `canopus-harness` sleeps real time between
 /// them. Both pop due actions with [`NemesisSchedule::pop_due`], apply
-/// them to their respective fabrics, and record the outcome with
+/// network actions to their [`FaultTable`], and record the outcome with
 /// [`NemesisSchedule::record`].
 pub struct NemesisSchedule {
     timeline: Vec<(Time, FaultAction)>,
@@ -352,10 +442,14 @@ impl NemesisDriver {
     /// Runs `sim` until `until`, applying every scheduled action at its
     /// exact virtual instant. `restart` builds replacement processes for
     /// `Restart` actions.
-    pub fn run<M, F>(&mut self, sim: &mut Simulation<M, F>, until: Time, restart: RestartFn<'_, M>)
-    where
+    pub fn run<M, F>(
+        &mut self,
+        sim: &mut Simulation<M, FaultFabric<F>>,
+        until: Time,
+        restart: RestartFn<'_, M>,
+    ) where
         M: Payload,
-        F: Fabric<M> + NemesisFabric,
+        F: Fabric<M>,
     {
         while let Some(next) = self.sched.next_at().filter(|&at| at <= until) {
             sim.run_until(next);
@@ -368,13 +462,13 @@ impl NemesisDriver {
 
     fn apply<M, F>(
         &mut self,
-        sim: &mut Simulation<M, F>,
+        sim: &mut Simulation<M, FaultFabric<F>>,
         at: Time,
         action: FaultAction,
         restart: RestartFn<'_, M>,
     ) where
         M: Payload,
-        F: Fabric<M> + NemesisFabric,
+        F: Fabric<M>,
     {
         match &action {
             FaultAction::Crash(n) => {
@@ -389,7 +483,7 @@ impl NemesisDriver {
                     sim.restart(*n, restart(*n, old));
                 }
             }
-            net => sim.fabric_mut().apply(net),
+            net => sim.fabric_mut().faults_mut().apply(net),
         }
         self.sched.record(at, action);
     }
@@ -638,5 +732,111 @@ mod tests {
             .filter(|(_, a)| matches!(a, FaultAction::Heal(..)))
             .count();
         assert_eq!(cuts, heals);
+    }
+
+    fn cut(a: &[u32], b: &[u32]) -> FaultAction {
+        FaultAction::Cut(
+            a.iter().copied().map(n).collect(),
+            b.iter().copied().map(n).collect(),
+        )
+    }
+
+    fn drop_count(t: &FaultTable, from: NodeId, to: NodeId, rng: &mut SmallRng) -> usize {
+        (0..10_000).filter(|_| t.drops(from, to, rng)).count()
+    }
+
+    #[test]
+    fn table_starts_clear_and_drops_nothing() {
+        let t = FaultTable::default();
+        let mut rng = SmallRng::seed_from_u64(1);
+        assert!(t.is_clear());
+        assert!(!t.drops_link(n(0), n(1)));
+        assert_eq!(drop_count(&t, n(0), n(1), &mut rng), 0);
+    }
+
+    #[test]
+    fn group_cut_covers_the_cross_product_both_ways_and_heals() {
+        let mut t = FaultTable::default();
+        t.apply(&cut(&[0, 1], &[2]));
+        assert!(!t.is_clear());
+        for a in [0, 1] {
+            assert!(t.drops_link(n(a), n(2)));
+            assert!(t.drops_link(n(2), n(a)));
+        }
+        assert!(!t.drops_link(n(0), n(1)), "same side stays connected");
+        t.apply(&FaultAction::Heal(vec![n(0), n(1)], vec![n(2)]));
+        assert!(t.is_clear());
+        assert!(!t.drops_link(n(0), n(2)));
+    }
+
+    #[test]
+    fn isolation_cuts_both_directions_until_heal_all() {
+        let mut t = FaultTable::default();
+        t.apply(&FaultAction::Isolate(n(5)));
+        assert!(t.drops_link(n(5), n(0)));
+        assert!(t.drops_link(n(0), n(5)));
+        assert!(!t.drops_link(n(0), n(1)));
+        t.apply(&FaultAction::HealAll);
+        assert!(t.is_clear());
+        assert!(!t.drops_link(n(5), n(0)));
+    }
+
+    #[test]
+    fn crash_marks_survive_heal_all_and_node_actions_are_ignored() {
+        let mut t = FaultTable::default();
+        t.apply(&FaultAction::Crash(n(2)));
+        t.apply(&FaultAction::Restart(n(2)));
+        assert!(t.is_clear(), "crash and restart act on nodes, not links");
+        t.set_crashed(n(2), true);
+        t.apply(&FaultAction::HealAll);
+        assert!(t.drops_link(n(0), n(2)));
+        assert!(t.drops_link(n(2), n(0)));
+        t.set_crashed(n(2), false);
+        assert!(t.is_clear());
+    }
+
+    #[test]
+    fn loss_drops_roughly_at_rate() {
+        let mut t = FaultTable::default();
+        let mut rng = SmallRng::seed_from_u64(42);
+        t.apply(&FaultAction::SetLoss(0.25));
+        let dropped = drop_count(&t, n(0), n(1), &mut rng);
+        assert!((2000..3000).contains(&dropped), "dropped {dropped}/10000");
+        assert!(!t.drops_link(n(0), n(1)), "the link verdict ignores loss");
+    }
+
+    #[test]
+    fn out_loss_replaces_the_global_rate_per_sender() {
+        let mut t = FaultTable::default();
+        let mut rng = SmallRng::seed_from_u64(7);
+        t.apply(&FaultAction::SetLoss(1.0));
+        t.apply(&FaultAction::SetNodeOutLoss(n(4), 0.0));
+        assert_eq!(drop_count(&t, n(4), n(0), &mut rng), 0, "0.0 shields 4");
+        assert_eq!(drop_count(&t, n(0), n(4), &mut rng), 10_000);
+        t.apply(&FaultAction::SetLoss(0.0));
+        t.apply(&FaultAction::SetNodeOutLoss(n(4), 1.0));
+        assert_eq!(drop_count(&t, n(4), n(0), &mut rng), 10_000);
+        assert_eq!(drop_count(&t, n(0), n(4), &mut rng), 0);
+        assert!(!t.drops_link(n(4), n(0)), "the link verdict ignores loss");
+        t.apply(&FaultAction::HealAll);
+        assert!(t.is_clear(), "heal-all clears every loss rate");
+    }
+
+    #[test]
+    fn loss_rolls_once_and_only_after_the_link_verdict_passes() {
+        let mut t = FaultTable::default();
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut twin = SmallRng::seed_from_u64(9);
+        // No loss: no roll.
+        assert!(!t.drops(n(0), n(1), &mut rng));
+        // A cut link drops before rolling.
+        t.apply(&cut(&[0], &[1]));
+        t.apply(&FaultAction::SetLoss(0.5));
+        assert!(t.drops(n(0), n(1), &mut rng));
+        assert_eq!(rng.gen::<u64>(), twin.gen::<u64>(), "no roll consumed");
+        // An open link with loss rolls exactly once.
+        let verdict = t.drops(n(0), n(2), &mut rng);
+        assert_eq!(verdict, twin.gen::<f64>() < 0.5);
+        assert_eq!(rng.gen::<u64>(), twin.gen::<u64>(), "exactly one roll");
     }
 }

@@ -20,8 +20,9 @@
 //!   give nodes finite processing capacity so saturation behaviour (the
 //!   paper's throughput metric) emerges naturally.
 //! * **Fault injection**: crash-stop, restart, message loss, and partitions
-//!   ([`fabric::LossyFabric`], [`fabric::PartitionableFabric`]) cover the
-//!   failure model of §3 of the paper.
+//!   cover the failure model of §3 of the paper. One [`FaultTable`] holds
+//!   the network faults; [`FaultFabric`] applies it to any inner fabric,
+//!   and the live TCP transport in `canopus-net` consults the same table.
 
 #![warn(missing_docs)]
 
@@ -31,8 +32,8 @@ mod process;
 mod sim;
 mod time;
 
-pub use fabric::{Fabric, LossyFabric, PartitionableFabric, Route, UniformFabric};
-pub use fault::{FaultAction, FaultEvent, FaultPlan, NemesisDriver, NemesisFabric};
+pub use fabric::{Fabric, FaultFabric, Route, UniformFabric};
+pub use fault::{FaultAction, FaultEvent, FaultPlan, FaultTable, NemesisDriver};
 pub use process::{Context, Effect, NodeId, Payload, Process, Timer, TimerId};
 pub use sim::{NetStats, NodeConfig, Simulation, TraceEvent, Tracer, EXTERNAL};
 pub use time::{Dur, Time};

@@ -116,6 +116,12 @@ pub struct SessionMux<M: ProtocolMsg> {
     pub issued: u64,
     /// Ops completed (a reply arrived before the timeout).
     pub completed: u64,
+    /// Writes completed with the reply landing in the measured window
+    /// `[warmup, stop_at)`.
+    pub window_writes: u64,
+    /// Reads completed with the reply landing in the measured window
+    /// `[warmup, stop_at)`.
+    pub window_reads: u64,
     /// Ops abandoned at the timeout.
     pub timeouts: u64,
     /// Issue opportunities pushed back a tick because the transport was
@@ -153,6 +159,8 @@ impl<M: ProtocolMsg> SessionMux<M> {
             probe: None,
             issued: 0,
             completed: 0,
+            window_writes: 0,
+            window_reads: 0,
             timeouts: 0,
             deferred: 0,
             late: 0,
@@ -323,6 +331,13 @@ impl<M: ProtocolMsg + 'static> Process<M> for SessionMux<M> {
         let lat = now.saturating_since(sess.issued_at);
         if now >= Time::ZERO + self.cfg.warmup {
             self.latency.record(lat, weight, now, &mut self.rng);
+            if now < self.cfg.stop_at {
+                if sess.is_write {
+                    self.window_writes += 1;
+                } else {
+                    self.window_reads += 1;
+                }
+            }
         }
         let at = now + self.cfg.think_time;
         self.schedule(at, Due::Issue(s as u32));
@@ -432,5 +447,36 @@ mod tests {
         let mux = sim.node::<SessionMux<CanopusMsg>>(c);
         assert_eq!(mux.issued, issued_at_stop, "no issues after stop_at");
         assert_eq!(mux.outstanding(), 0, "everything drained");
+    }
+
+    #[test]
+    fn window_counts_only_replies_inside_warmup_to_stop() {
+        let run = |warmup: Dur, stop: Dur| {
+            let mut sim = canopus_trio(14);
+            let cfg = SessionMuxConfig {
+                sessions: 200,
+                targets: vec![NodeId(0), NodeId(1), NodeId(2)],
+                think_time: Dur::millis(5),
+                ramp: Dur::millis(10),
+                warmup,
+                stop_at: Time::ZERO + stop,
+                ..SessionMuxConfig::default()
+            };
+            let c = sim.add_node(Box::new(SessionMux::<CanopusMsg>::new(cfg, 5)));
+            sim.run_for(Dur::millis(300));
+            let mux = sim.node::<SessionMux<CanopusMsg>>(c);
+            (mux.window_writes, mux.window_reads, mux.completed)
+        };
+        let (writes, reads, completed) = run(Dur::millis(50), Dur::millis(150));
+        assert!(writes > 0 && reads > 0, "{writes} writes, {reads} reads");
+        assert!(
+            writes + reads < completed,
+            "ramp-up and drain replies fall outside the window"
+        );
+        let (writes, reads, completed) = run(Dur::millis(150), Dur::millis(150));
+        assert!(completed > 0);
+        assert_eq!((writes, reads), (0, 0), "an empty window counts nothing");
+        let (writes, reads, _) = run(Dur::millis(200), Dur::millis(100));
+        assert_eq!((writes, reads), (0, 0), "an inverted window counts nothing");
     }
 }

@@ -34,7 +34,7 @@
 
 use std::net::TcpListener;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use canopus::{CanopusConfig, CanopusMsg, CanopusNode, EmulationTable, LotShape};
 use canopus_bench::json::{splice_section, JsonObject};
@@ -167,7 +167,6 @@ fn main() {
     let per = sessions / muxes;
     let extra = sessions % muxes;
     let stop_at = Time::ZERO + Dur::millis(ramp_ms) + Dur::nanos(run.as_nanos() as u64);
-    let t0 = Instant::now();
     let mut gates = Vec::new();
     let mut mux_handles = Vec::new();
     for (k, listener) in mux_listeners.into_iter().enumerate() {
@@ -228,9 +227,10 @@ fn main() {
     }
 
     println!("stopping muxes and collecting session stats ...");
-    let elapsed = t0.elapsed();
     let mut issued = 0u64;
     let mut completed = 0u64;
+    let mut window_writes = 0u64;
+    let mut window_reads = 0u64;
     let mut timeouts = 0u64;
     let mut late = 0u64;
     let mut deferred = 0u64;
@@ -248,6 +248,8 @@ fn main() {
             .expect("session mux");
         issued += mux.issued;
         completed += mux.completed;
+        window_writes += mux.window_writes;
+        window_reads += mux.window_reads;
         timeouts += mux.timeouts;
         late += mux.late;
         deferred += mux.deferred;
@@ -278,7 +280,11 @@ fn main() {
     }
 
     let incidents: u64 = gates.iter().map(|g| g.incidents()).sum();
-    let throughput = completed as f64 / elapsed.as_secs_f64();
+    // Rates count only replies landing in the measured window between
+    // the ramp and `stop_at`, never the ramp or the drain.
+    let writes_per_sec = window_writes as f64 / run.as_secs_f64();
+    let reads_per_sec = window_reads as f64 / run.as_secs_f64();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let p50 = latency.median().map_or(f64::NAN, |d| d.as_millis_f64());
     let p99 = latency
         .percentile(99.0)
@@ -289,8 +295,9 @@ fn main() {
     println!("  deferred issues: {deferred}  backpressure incidents: {incidents}");
     println!("  sessions served: {served}/{hosted}  peak outstanding: {peak}");
     println!(
-        "  committed throughput: {throughput:.0} ops/s over {:.0}s",
-        elapsed.as_secs_f64()
+        "  committed writes: {writes_per_sec:.0}/s  reads: {reads_per_sec:.0}/s \
+         over the {}s measured window (nproc {nproc})",
+        run.as_secs()
     );
     println!("  latency p50: {p50:.0} ms  p99: {p99:.0} ms");
     println!("  node-side: {committed_cycles} cycles, {committed_weight} committed writes");
@@ -327,13 +334,15 @@ fn main() {
             .field_int("think_ms", think_ms)
             .field_int("time_unit_ms", unit.as_millis())
             .field_int("reactor_loops", canopus_net::reactor::loop_count() as u64)
+            .field_int("nproc", nproc as u64)
             .field_int("issued", issued)
             .field_int("completed", completed)
             .field_int("timeouts", timeouts)
             .field_int("deferred", deferred)
             .field_int("sessions_served", served)
             .field_int("peak_outstanding", peak)
-            .field_num("committed_ops_per_sec", throughput)
+            .field_num("committed_writes_per_sec", writes_per_sec)
+            .field_num("reads_per_sec", reads_per_sec)
             .field_num("latency_p50_ms", p50)
             .field_num("latency_p99_ms", p99)
             .field_int("node_committed_cycles", committed_cycles)

@@ -359,3 +359,30 @@ fn determinism_crash_restart_raftkv() {
     };
     assert_eq!(run(), run());
 }
+
+/// The loss, flap and isolation scenarios are pinned for plain Canopus:
+/// they are the only catalog schedules that drive `SetLoss`,
+/// `SetNodeOutLoss`, `FlapLink` and `IsolateNode`, so a change to how a
+/// fault table rolls loss or judges a link that moves even one event must
+/// be an explicit, re-pinned decision.
+#[test]
+fn fault_scenario_traces_are_pinned() {
+    let run = |scenario: ChaosScenario| {
+        let mut cluster = chaos_cluster::<CanopusMsg>(canopus(), 7, ClusterObs::off());
+        cluster.sim.enable_trace_hash();
+        cluster.apply_plan(&scenario.plan, timeline().run_for);
+        (
+            cluster.sim.trace_hash().expect("enabled"),
+            cluster.sim.events_processed(),
+        )
+    };
+    let pinned = [
+        (asymmetric_loss(), (0xf6df_ad7f_eede_afa4, 163_798)),
+        (link_flapping(), (0x9e80_302d_0945_c10b, 191_468)),
+        (node_isolated(), (0x122e_b97f_fed2_685d, 196_241)),
+    ];
+    for (scenario, want) in pinned {
+        let name = scenario.name;
+        assert_eq!(run(scenario), want, "{name}: trace drifted");
+    }
+}
